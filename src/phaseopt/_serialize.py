@@ -1,4 +1,4 @@
-"""Deterministic JSON and CSV emission.
+"""Deterministic JSON and CSV emission, and the matrix JSON codec.
 
 The stock json module formats floats with shortest-round-trip repr, which
 is stable but version-sensitive; reports here are meant to be compared
@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
+from numbers import Integral, Real
+
+import numpy as np
 
 __all__ = ["dumps", "format_float", "density_csv", "sweep_csv"]
 
@@ -75,3 +79,45 @@ def sweep_csv(rows, header=("dim", "norm")) -> str:
     for dim, norm in rows:
         lines.append(f"{dim},{norm:.17g}")
     return "\n".join(lines) + "\n"
+
+
+def matrix_to_dict(a: np.ndarray) -> dict:
+    """``{"dim", "entries"}`` of a square complex array, row-major [re, im] pairs."""
+    pairs = np.asarray(a, dtype=np.complex128).reshape(-1).view(np.float64)
+    return {"dim": a.shape[0], "entries": pairs.reshape(-1, 2).tolist()}
+
+
+def complex_from_pairs(raw, what: str, depth: int = 1) -> np.ndarray:
+    """Complex array from ``depth`` levels of lists around [re, im] pairs.
+
+    Bit-exact; booleans, strings and nulls, which numpy would coerce, are refused.
+    """
+    try:
+        arr = np.array(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        arr = np.empty(())  # 0-d: never a valid shape
+    if arr.shape == (0,):
+        arr = arr.reshape(0, 2)  # an empty list holds no pairs
+    ok = arr.ndim == depth + 1 and arr.shape[-1] == 2
+    if ok:
+        leaves = raw
+        for _ in range(depth):
+            leaves = chain.from_iterable(leaves)
+        ok = all(issubclass(k, Real) and k is not bool for k in set(map(type, leaves)))
+    if not ok:
+        raise ValueError(f"{what} must be [re, im] pairs of numbers")
+    return arr.view(np.complex128)[..., 0]
+
+
+def matrix_from_dict(data: dict) -> np.ndarray:
+    """Inverse of :func:`matrix_to_dict`; malformed input raises ValueError."""
+    for key in ("dim", "entries"):
+        if key not in data:
+            raise ValueError(f"missing field {key!r}")
+    dim = data["dim"]
+    if not isinstance(dim, Integral) or isinstance(dim, bool) or dim < 1:
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
+    entries = complex_from_pairs(data["entries"], "entries")
+    if entries.size != dim * dim:
+        raise ValueError(f"entries has {entries.size} pairs, expected {dim * dim}")
+    return entries.reshape(dim, dim)

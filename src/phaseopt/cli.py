@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import groupsim as gs
-from ._serialize import density_csv, dumps, sweep_csv
+from ._serialize import complex_from_pairs, density_csv, dumps, matrix_from_dict, sweep_csv
 from .config import Config, load_config
 from .measure import (
     Arc,
@@ -30,6 +30,7 @@ from .measure import (
     et_quadrature_oracle,
 )
 from .optimal import (
+    DEFAULT_TAIL_TOL,
     CircleMeasure,
     CriterionInapplicableError,
     NotStateGeneratedError,
@@ -40,6 +41,7 @@ from .optimal import (
     preclean_check,
     real_nonextremal_shortcut,
     recover_state,
+    recovery_depth,
     smear,
 )
 from .phase_matrix import (
@@ -71,29 +73,30 @@ def _read_text(path: str) -> str:
 def _load_json(path: str) -> dict:
     text = _read_text(path)
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON ({exc})")
+    if not isinstance(data, dict):
+        raise CliError(f"{path}: expected a JSON object")
+    return data
 
 
-def _load_matrix(path: str) -> PhaseMatrix:
+def _load(path: str, decode):
+    """Decode the JSON object at path; a ValueError becomes a CliError naming the path."""
     data = _load_json(path)
-    for field in ("dim", "entries"):
-        if field not in data:
-            raise CliError(f"{path}: missing field {field!r}")
     try:
-        return PhaseMatrix.from_dict(data)
+        return decode(data)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}")
 
 
 def _emit(text: str, out: str) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
+        Path(out).write_text(text)
 
 
 def _parse_levels(spec: str) -> np.ndarray:
@@ -141,50 +144,52 @@ def _report(args, data: dict, failed: bool) -> int:
     return 2 if (failed and args.assert_) else 0
 
 
+def _refusal(args, verdict: str, exc: Exception, dim: int) -> int:
+    """Negative report for a verdict whose hypotheses the input fails."""
+    return _report(args, {"verdict": verdict, "reason": str(exc), "dim": dim}, True)
+
+
 # --- subcommand handlers ------------------------------------------------------
 
 
-def _cmd_gen(args, cfg: Config) -> int:
-    dim = args.dim or cfg.dim
+def _family_matrix(args, dim: int) -> PhaseMatrix:
+    """The phase matrix of ``args.family`` at dimension dim (gen and norm-sweep)."""
     if args.family == "canonical":
-        m = canonical(dim)
-    elif args.family == "chessboard":
-        m = chessboard(_parse_complex(args.xi), dim)
-    elif args.family == "state":
-        m = state_generated(_parse_levels(args.levels), dim)
-    elif args.family == "eta":
-        data = _load_json(args.infile)
-        vecs = np.array(
-            [[complex(re, im) for re, im in row] for row in data["vectors"]]
-        )
-        m = from_eta(vecs)
-    elif args.family == "example4":
-        m = example4(args.n0, dim)
-    else:
-        m = example5(dim)
+        return canonical(dim)
+    if args.family == "chessboard":
+        return chessboard(_parse_complex(args.xi), dim)
+    if args.family == "state":
+        return state_generated(_parse_levels(args.levels), dim)
+    if args.family == "eta":
+        vectors = _load_json(args.infile)["vectors"]
+        return from_eta(complex_from_pairs(vectors, "vectors", depth=2))
+    if args.family == "example4":
+        return example4(args.n0, dim)
+    return example5(dim)
+
+
+def _cmd_gen(args, cfg: Config) -> int:
+    m = _family_matrix(args, cfg.dim if args.dim is None else args.dim)
     _emit(dumps(m.to_dict()), args.out)
     return 0
 
 
 def _cmd_validate(args, cfg: Config) -> int:
-    data = _load_json(args.infile)
-    dim = int(data["dim"])
-    arr = np.array([complex(re, im) for re, im in data["entries"]]).reshape(dim, dim)
-    report = validate(arr, cfg.eps_psd)
+    report = validate(_load(args.infile, matrix_from_dict), cfg.eps_psd)
     out = report.to_dict()
     out["tolerances"] = {"eps_psd": cfg.eps_psd}
     return _report(args, out, not report.ok)
 
 
 def _cmd_density(args, cfg: Config) -> int:
-    m = _load_matrix(args.infile)
+    m = _load(args.infile, PhaseMatrix.from_dict)
     if args.coherent is not None:
         rho = CoherentVector(_parse_complex(args.coherent), m.dim).density_matrix()
     elif args.state_file is not None:
-        rho = DensityMatrix.from_dict(_load_json(args.state_file))
+        rho = _load(args.state_file, DensityMatrix.from_dict)
     else:
         raise CliError("density needs --coherent or --state-file")
-    thetas, values = density(m, rho, args.grid or cfg.grid)
+    thetas, values = density(m, rho, cfg.grid if args.grid is None else args.grid)
     _emit(density_csv(thetas, values), args.out)
     return 0
 
@@ -192,23 +197,17 @@ def _cmd_density(args, cfg: Config) -> int:
 def _cmd_norm_sweep(args, cfg: Config) -> int:
     arc = _parse_arc(args.arc)
     dims = [int(d) for d in args.dims.split(",")]
-    rows = []
-    for d in dims:
-        if args.family == "canonical":
-            m = canonical(d)
-        elif args.family == "state":
-            m = state_generated(_parse_levels(args.levels), d)
-        else:
-            raise CliError(f"unsupported sweep family {args.family!r}")
-        rows.append((d, effect_norm(m, arc)))
+    rows = [(d, effect_norm(_family_matrix(args, d), arc)) for d in dims]
     _emit(sweep_csv(rows), args.out)
     return 0
 
 
 def _cmd_check(args, cfg: Config) -> int:
-    m = _load_matrix(args.infile)
+    m = _load(args.infile, PhaseMatrix.from_dict)
+    defaults = {"sharp": cfg.tol_sharp, "preclean": DEFAULT_TAIL_TOL}
+    tol = defaults.get(args.criterion, cfg.tol_equiv) if args.tol is None else args.tol
     if args.criterion == "sharp":
-        rep = approx_sharp_check(m, tol=args.tol or cfg.tol_sharp)
+        rep = approx_sharp_check(m, tol=tol)
         data = rep.to_dict()
         return _report(args, data, not rep.consistent)
     if args.criterion == "extremal":
@@ -231,65 +230,56 @@ def _cmd_check(args, cfg: Config) -> int:
             False,
         )
     if args.criterion == "preclean":
-        n0 = preclean_check(m, tol=args.tol or 1e-6)
+        n0 = preclean_check(m, tol=tol)
         data = {
             "verdict": "positive" if n0 is not None else "negative",
             "n0": n0,
             "dim": m.dim,
-            "tolerances": {"tail_modulus": args.tol or 1e-6},
+            "tolerances": {"tail_modulus": tol},
         }
         return _report(args, data, n0 is None)
-    other = _load_matrix(args.other) if args.other else None
+    other = _load(args.other, PhaseMatrix.from_dict) if args.other else None
     if other is None:
         raise CliError(f"check {args.criterion} requires --other")
     if args.criterion == "postclass":
         try:
-            x = post_equiv_class(m, other, tol=args.tol or cfg.tol_equiv)
+            x = post_equiv_class(m, other, tol=tol)
         except CriterionInapplicableError as exc:
-            return _report(
-                args,
-                {"verdict": "inapplicable", "reason": str(exc), "dim": m.dim},
-                True,
-            )
-        data = {
-            "verdict": "equivalent" if x is not None else "not-equivalent",
-            "x": None if x is None else [x.real, x.imag],
-            "dim": m.dim,
-            "tolerances": {"tol": args.tol or cfg.tol_equiv},
-        }
-        return _report(args, data, x is None)
-    if args.criterion == "uequiv":
-        lam = u_equivalent(m, other, tol=args.tol or cfg.tol_equiv)
-        data = {
-            "verdict": "equivalent" if lam is not None else "not-equivalent",
-            "lambda": None if lam is None else [[z.real, z.imag] for z in lam],
-            "dim": m.dim,
-            "tolerances": {"tol": args.tol or cfg.tol_equiv},
-        }
-        return _report(args, data, lam is None)
-    raise CliError(f"unknown criterion {args.criterion!r}")
+            return _refusal(args, "inapplicable", exc, m.dim)
+        key, found = "x", None if x is None else [x.real, x.imag]
+    else:
+        lam = u_equivalent(m, other, tol=tol)
+        key, found = "lambda", None if lam is None else [[z.real, z.imag] for z in lam]
+    data = {
+        "verdict": "equivalent" if found is not None else "not-equivalent",
+        key: found,
+        "dim": m.dim,
+        "tolerances": {"tol": tol},
+    }
+    return _report(args, data, found is None)
 
 
 def _cmd_smear(args, cfg: Config) -> int:
-    m = _load_matrix(args.infile)
-    nu = CircleMeasure.from_dict(_load_json(args.nu))
+    m = _load(args.infile, PhaseMatrix.from_dict)
+    nu = _load(args.nu, CircleMeasure.from_dict)
     _emit(dumps(smear(m, nu).to_dict()), args.out)
     return 0
 
 
 def _cmd_channel_identity(args, cfg: Config) -> int:
-    m = _load_matrix(args.infile)
+    m = _load(args.infile, PhaseMatrix.from_dict)
     rng = np.random.default_rng(args.seed)
     chan = canonical_channel(m)
     can = canonical(m.dim)
+    grid = cfg.grid if args.grid is None else args.grid
     worst = 0.0
     for _ in range(args.trials):
         g = rng.normal(size=(m.dim, m.dim)) + 1j * rng.normal(size=(m.dim, m.dim))
         rho_arr = g @ g.conj().T
         rho_arr /= rho_arr.trace()
         rho = DensityMatrix(rho_arr)
-        _, d1 = density(m, rho, args.grid or cfg.grid)
-        _, d2 = density(can, DensityMatrix(chan(rho.entries)), args.grid or cfg.grid)
+        _, d1 = density(m, rho, grid)
+        _, d2 = density(can, DensityMatrix(chan(rho.entries)), grid)
         worst = max(worst, float(np.abs(d1 - d2).max()))
     data = {
         "verdict": "pass" if worst < args.tol else "fail",
@@ -302,16 +292,14 @@ def _cmd_channel_identity(args, cfg: Config) -> int:
 
 
 def _cmd_recover_state(args, cfg: Config) -> int:
-    m = _load_matrix(args.infile)
-    depth = args.depth if args.depth is not None else cfg.depth_for(m.dim)
+    m = _load(args.infile, PhaseMatrix.from_dict)
+    depth = cfg.recovery_depth if args.depth is None else args.depth
+    if depth is None:
+        depth = recovery_depth(m.dim)
     try:
         state = recover_state(m, depth=depth)
     except NotStateGeneratedError as exc:
-        return _report(
-            args,
-            {"verdict": "not-state-generated", "reason": str(exc), "dim": m.dim},
-            True,
-        )
+        return _refusal(args, "not-state-generated", exc, m.dim)
     data = {
         "verdict": "ok",
         "weights": [float(w) for w in state.weights],
@@ -324,16 +312,15 @@ def _cmd_recover_state(args, cfg: Config) -> int:
 def _cmd_oracle_et(args, cfg: Config) -> int:
     state = DiagonalState(_parse_levels(args.levels))
     arc = _parse_arc(args.arc)
-    dim = args.dim or 12
     approx = et_quadrature_oracle(
-        state, arc, dim, r_max=args.r_max, quad_points=args.quad_points
+        state, arc, args.dim, r_max=args.r_max, quad_points=args.quad_points
     )
-    exact = effect_operator(state_generated(state.weights, dim), arc)
+    exact = effect_operator(state_generated(state.weights, args.dim), arc)
     dev = float(np.abs(approx - exact).max())
     data = {
         "verdict": "pass" if dev < args.tol else "fail",
         "max_entry_deviation": dev,
-        "dim": dim,
+        "dim": args.dim,
         "r_max": args.r_max,
         "quad_points": args.quad_points,
         "tolerances": {"tol": args.tol},
@@ -342,10 +329,14 @@ def _cmd_oracle_et(args, cfg: Config) -> int:
 
 
 def _scenario_matrix(raw, dim: int) -> np.ndarray:
-    arr = np.zeros((dim, dim), dtype=np.complex128)
-    for i, row in enumerate(raw):
-        for j, cell in enumerate(row):
-            arr[i, j] = complex(cell[0], cell[1]) if isinstance(cell, list) else cell
+    """Scenario seed: a dim x dim list of numbers or [re, im] pairs."""
+    try:
+        cells = [[complex(*c) if isinstance(c, list) else c for c in row] for row in raw]
+        arr = np.array(cells, dtype=np.complex128)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != (dim, dim):
+        raise ValueError(f"seed must be a {dim} x {dim} list of numbers or [re, im] pairs")
     return arr
 
 
@@ -368,16 +359,24 @@ def _cmd_groupsim(args, cfg: Config) -> int:
     return _report(args, data, failed)
 
 
+def _covariance_residual(rep, obs) -> float:
+    """Largest entry of U(g) E(x) U(g)^* - E(g + x) over all g and x."""
+    n = rep.order
+    worst = 0.0
+    for g in range(n):
+        u = rep.unitary(g)
+        for x in range(n):
+            lhs = u @ obs.effect(x) @ u.conj().T
+            worst = max(worst, float(np.abs(lhs - obs.effect((g + x) % n)).max()))
+    return worst
+
+
 def _run_groupsim_check(name, rep, obs, nu, scn, rng) -> dict:
     n = rep.order
-    if name == "covariance":
-        worst = 0.0
-        for g in range(n):
-            u = rep.unitary(g)
-            for x in range(n):
-                lhs = u @ obs.effect(x) @ u.conj().T
-                worst = max(worst, float(np.abs(lhs - obs.effect((g + x) % n)).max()))
-        assert worst < 1e-12, f"covariance residual {worst}"
+    if name in ("covariance", "smear-covariance"):
+        smeared = name == "smear-covariance"
+        worst = _covariance_residual(rep, gs.smear_finite(obs, nu) if smeared else obs)
+        assert worst < 1e-12, f"{'smeared ' if smeared else ''}covariance residual {worst}"
         return {"verdict": "pass", "residual": worst}
     if name == "additivity":
         total = obs.effect_set(range(n))
@@ -390,16 +389,6 @@ def _run_groupsim_check(name, rep, obs, nu, scn, rng) -> dict:
         )
         assert worst > 1e-12, "some singleton effect vanishes"
         return {"verdict": "pass", "min_effect_weight": worst}
-    if name == "smear-covariance":
-        sm = gs.smear_finite(obs, nu)
-        worst = 0.0
-        for g in range(n):
-            u = rep.unitary(g)
-            for x in range(n):
-                lhs = u @ sm.effect(x) @ u.conj().T
-                worst = max(worst, float(np.abs(lhs - sm.effect((g + x) % n)).max()))
-        assert worst < 1e-12, f"smeared covariance residual {worst}"
-        return {"verdict": "pass", "residual": worst}
     if name == "norm-bound":
         subset = tuple(scn.get("subset", [0]))
         lhs, rhs = gs.norm_bound_check(obs, nu, subset)
@@ -453,16 +442,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="path to a key = value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--in", dest="infile", default="-", help="input path or - for stdin")
-        p.add_argument("--out", default="-", help="output path or - for stdout")
-        p.add_argument(
-            "--assert",
-            dest="assert_",
-            action="store_true",
-            help="exit nonzero when the verdict is negative",
-        )
-
     p = sub.add_parser("gen", help="generate a phase matrix")
     p.add_argument(
         "family",
@@ -472,18 +451,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", default="0.5", help="chessboard parameter (complex)")
     p.add_argument("--levels", default="1.0@0", help="diagonal state as w@level,...")
     p.add_argument("--n0", type=int, default=3, help="example4 tail offset")
-    common(p)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("validate", help="check a matrix against the admissibility rules")
-    common(p)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("density", help="outcome density of a state, as CSV")
     p.add_argument("--coherent", default=None, help="coherent amplitude (complex)")
     p.add_argument("--state-file", default=None, help="density-matrix JSON path")
     p.add_argument("--grid", type=int, default=None)
-    common(p)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("norm-sweep", help="effect norms across truncations, as CSV")
@@ -491,7 +467,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", default="4,16,64,256")
     p.add_argument("--family", default="canonical", choices=["canonical", "state"])
     p.add_argument("--levels", default="1.0@0")
-    common(p)
     p.set_defaults(func=_cmd_norm_sweep)
 
     p = sub.add_parser("check", help="run an optimality verdict")
@@ -501,12 +476,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--other", default=None, help="second matrix for binary criteria")
     p.add_argument("--tol", type=float, default=None)
-    common(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("smear", help="postprocess by a circle measure")
     p.add_argument("--nu", required=True, help="CircleMeasure JSON path")
-    common(p)
     p.set_defaults(func=_cmd_smear)
 
     p = sub.add_parser("channel-identity", help="densities factor through the canonical channel")
@@ -514,12 +487,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--tol", type=float, default=1e-10)
-    common(p)
     p.set_defaults(func=_cmd_channel_identity)
 
     p = sub.add_parser("recover-state", help="reconstruct the generating diagonal state")
     p.add_argument("--depth", type=int, default=None)
-    common(p)
     p.set_defaults(func=_cmd_recover_state)
 
     p = sub.add_parser("oracle-et", help="quadrature oracle vs closed-form effects")
@@ -529,22 +500,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=float, default=10.0)
     p.add_argument("--quad-points", type=int, default=160)
     p.add_argument("--tol", type=float, default=1e-6)
-    common(p)
     p.set_defaults(func=_cmd_oracle_et)
 
     p = sub.add_parser("groupsim", help="run a finite-group scenario file")
     p.add_argument("--scenario", required=True)
-    common(p)
     p.set_defaults(func=_cmd_groupsim)
 
+    # every subcommand takes the same I/O flags, after its own
+    for p in sub.choices.values():
+        p.add_argument("--in", dest="infile", default="-", help="input path or - for stdin")
+        p.add_argument("--out", default="-", help="output path or - for stdout")
+        p.add_argument(
+            "--assert",
+            dest="assert_",
+            action="store_true",
+            help="exit nonzero when the verdict is negative",
+        )
     return parser
 
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = load_config(args.config)
     try:
-        return args.func(args, cfg)
+        for flag in ("dim", "grid", "tol"):
+            value = getattr(args, flag, None)
+            if value is not None and not value > 0:
+                raise CliError(f"--{flag} must be positive, got {value}")
+        return args.func(args, load_config(args.config))
     except (CliError, ValueError, FileNotFoundError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

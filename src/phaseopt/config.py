@@ -12,6 +12,10 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
+from .measure import DEFAULT_GRID
+from .optimal import DEFAULT_SHARP_TOL
+from .phase_matrix import EPS_EQUIV, EPS_PSD, EPS_RANK
+
 __all__ = ["Config", "load_config", "DEFAULT_CONFIG_NAME"]
 
 DEFAULT_CONFIG_NAME = "phaseopt.cfg"
@@ -20,26 +24,21 @@ DEFAULT_CONFIG_NAME = "phaseopt.cfg"
 @dataclass
 class Config:
     dim: int = 64
-    eps_psd: float = 1e-10
-    eps_rank: float = 1e-9
-    tol_sharp: float = 0.2
-    tol_equiv: float = 1e-10
-    grid: int = 512
+    eps_psd: float = EPS_PSD
+    eps_rank: float = EPS_RANK
+    tol_sharp: float = DEFAULT_SHARP_TOL
+    tol_equiv: float = EPS_EQUIV
+    grid: int = DEFAULT_GRID
     recovery_depth: Optional[int] = None
 
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
         for name in ("eps_psd", "eps_rank", "tol_sharp", "tol_equiv"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.grid < 2:
             raise ValueError("grid must be at least 2")
-
-    def depth_for(self, dim: int) -> int:
-        if self.recovery_depth is not None:
-            return self.recovery_depth
-        return max(0, (dim + 1) // 2 - 2)
 
 
 def _parse_value(name: str, raw: str):

@@ -15,11 +15,13 @@ from typing import Tuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .phase_matrix import PhaseMatrix, _mirror_lower
+from ._serialize import matrix_from_dict, matrix_to_dict
+from .phase_matrix import PhaseMatrix, _mirror_lower, _toeplitz
 from .specfun import displacement_element
 
 __all__ = [
     "TWO_PI",
+    "DEFAULT_GRID",
     "Arc",
     "DensityMatrix",
     "DiagonalState",
@@ -34,6 +36,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+DEFAULT_GRID = 512
 
 
 @dataclass(frozen=True)
@@ -170,18 +173,14 @@ class DensityMatrix:
         return DensityMatrix(np.outer(v, v.conj()))
 
     def to_dict(self) -> dict:
-        flat = self.entries.reshape(-1)
         return {
-            "dim": self.dim,
-            "entries": [[float(z.real), float(z.imag)] for z in flat],
+            **matrix_to_dict(self.entries),
             "trace": float(self.entries.trace().real),
         }
 
     @staticmethod
     def from_dict(data: dict) -> "DensityMatrix":
-        dim = int(data["dim"])
-        arr = np.array([complex(re, im) for re, im in data["entries"]]).reshape(dim, dim)
-        return DensityMatrix(arr)
+        return DensityMatrix(matrix_from_dict(data))
 
 
 @dataclass(frozen=True)
@@ -264,8 +263,7 @@ def effect_operator(matrix: PhaseMatrix, arc: Arc) -> np.ndarray:
     """Effect of the outcome set: entrywise c[m,n] * fourier_arc(m - n)."""
     d = matrix.dim
     coeffs = np.array([fourier_arc(arc, k) for k in range(-(d - 1), d)])
-    k_table = np.subtract.outer(np.arange(d), np.arange(d)) + (d - 1)
-    return matrix.entries * coeffs[k_table]
+    return matrix.entries * _toeplitz(coeffs)
 
 
 def effect_norm(matrix: PhaseMatrix, arc: Arc) -> float:
@@ -273,7 +271,7 @@ def effect_norm(matrix: PhaseMatrix, arc: Arc) -> float:
     return float(np.linalg.eigvalsh(effect_operator(matrix, arc))[-1])
 
 
-def density(matrix: PhaseMatrix, rho: DensityMatrix, grid: int = 512):
+def density(matrix: PhaseMatrix, rho: DensityMatrix, grid: int = DEFAULT_GRID):
     """Outcome probability density sampled on a uniform angle grid.
 
     Returns ``(thetas, values)``; values are real and may dip a hair

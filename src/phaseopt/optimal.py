@@ -15,7 +15,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .measure import TWO_PI, DiagonalState
-from .phase_matrix import EtaSystem, PhaseMatrix, gram_factor
+from ._serialize import complex_from_pairs
+from .phase_matrix import EPS_EQUIV, EtaSystem, PhaseMatrix, _toeplitz, gram_factor
 from .specfun import c_state
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "RealEntriesCertificate",
     "real_nonextremal_shortcut",
     "NotStateGeneratedError",
+    "recovery_depth",
     "recover_state",
     "CriterionInapplicableError",
     "post_equiv_class",
@@ -45,6 +47,15 @@ DEFAULT_SHARP_KMAX = 3
 # frozen from the measured decay of the state-generated entries
 # (deviation ~ k^2 (2s+1) / (8m); worst case in the suite is ~0.09)
 DEFAULT_SHARP_TOL = 0.2
+DEFAULT_TAIL_TOL = 1e-6
+
+
+def _atoms_fourier(atoms, k: int) -> complex:
+    """Sum of w * p**(-k) over the (position, weight) atoms."""
+    out = 0.0j
+    for pos, w in atoms:
+        out += w * pos ** (-k)
+    return out
 
 
 @dataclass(frozen=True)
@@ -100,9 +111,7 @@ class CircleMeasure:
         return CircleMeasure(atoms=tuple(pairs))
 
     def fourier(self, k: int) -> complex:
-        out = 0.0j
-        for pos, w in self.atoms:
-            out += w * pos ** (-k)
+        out = _atoms_fourier(self.atoms, k)
         if self.density_coeffs:
             ak = abs(k)
             if ak < len(self.density_coeffs):
@@ -118,18 +127,10 @@ class CircleMeasure:
         deg = max(len(self.density_coeffs), len(other.density_coeffs)) - 1
         coeffs = []
         if deg >= 0:
-            atom_part = CircleMeasure._raw_atoms_fourier(atoms)
             for k in range(deg + 1):
                 total = self.fourier(k) * other.fourier(k)
-                coeffs.append(total - atom_part(k))
+                coeffs.append(total - _atoms_fourier(atoms, k))
         return CircleMeasure(atoms=tuple(atoms), density_coeffs=tuple(coeffs))
-
-    @staticmethod
-    def _raw_atoms_fourier(atoms) -> Callable[[int], complex]:
-        def f(k: int) -> complex:
-            return sum((w * p ** (-k) for p, w in atoms), 0.0j)
-
-        return f
 
     def to_dict(self) -> dict:
         return {
@@ -145,7 +146,7 @@ class CircleMeasure:
             (complex(math.cos(a["angle"]), math.sin(a["angle"])), float(a["weight"]))
             for a in data.get("atoms", [])
         )
-        coeffs = tuple(complex(re, im) for re, im in data.get("density_coeffs", []))
+        coeffs = tuple(complex_from_pairs(data.get("density_coeffs", []), "density_coeffs"))
         return CircleMeasure(atoms=atoms, density_coeffs=coeffs)
 
 
@@ -153,8 +154,7 @@ def smear(matrix: PhaseMatrix, nu: CircleMeasure) -> PhaseMatrix:
     """Postprocess by a circle measure: entries multiply by nu_hat(m - n)."""
     d = matrix.dim
     coeffs = np.array([nu.fourier(k) for k in range(-(d - 1), d)])
-    k_table = np.subtract.outer(np.arange(d), np.arange(d)) + (d - 1)
-    return PhaseMatrix(matrix.entries * coeffs[k_table])
+    return PhaseMatrix(matrix.entries * _toeplitz(coeffs))
 
 
 @dataclass(frozen=True)
@@ -211,31 +211,20 @@ def approx_sharp_check(
     c = matrix.entries
     first_off = np.diagonal(c, offset=1)
     resolvable = np.nonzero(np.abs(first_off) > tol)[0]
-    if resolvable.size == 0:
-        return SharpnessReport(
-            estimated_u=0.0j,
-            max_tail_deviation=float("nan"),
-            trend=(),
-            verdict="inconsistent",
-            window=window,
-            k_max=k_max,
-            tol=tol,
-            dim=d,
-        )
-    top = first_off[resolvable[-1]]
-    u = top / abs(top)
-
-    n_blocks = min(3, (d - k_max) // window)
-    maxima = []
-    for b in range(n_blocks, 0, -1):
-        lo = d - k_max - b * window
-        hi = d - k_max - (b - 1) * window
-        dev = 0.0
-        for k in range(1, k_max + 1):
-            seg = c[np.arange(lo, hi), np.arange(lo, hi) + k]
-            dev = max(dev, float(np.abs(seg - u ** k).max()))
-        maxima.append(dev)
-    tail_dev = maxima[-1]
+    u, maxima = 0.0j, []
+    if resolvable.size:
+        top = first_off[resolvable[-1]]
+        u = top / abs(top)
+        n_blocks = min(3, (d - k_max) // window)
+        for b in range(n_blocks, 0, -1):
+            lo = d - k_max - b * window
+            hi = d - k_max - (b - 1) * window
+            dev = 0.0
+            for k in range(1, k_max + 1):
+                seg = c[np.arange(lo, hi), np.arange(lo, hi) + k]
+                dev = max(dev, float(np.abs(seg - u ** k).max()))
+            maxima.append(dev)
+    tail_dev = maxima[-1] if maxima else float("nan")
     monotone = all(a >= b - 1e-12 for a, b in zip(maxima, maxima[1:]))
     verdict = "consistent" if (tail_dev < tol and monotone) else "inconsistent"
     return SharpnessReport(
@@ -336,6 +325,11 @@ class NotStateGeneratedError(ValueError):
 _RECOVERY_ENTRY_EPS = 1e-13
 
 
+def recovery_depth(dim: int) -> int:
+    """Deepest level whose defining column 2*(depth+1) still fits in dim."""
+    return max(0, (dim + 1) // 2 - 2)
+
+
 def recover_state(
     matrix: PhaseMatrix, depth: Optional[int] = None, tol: float = 1e-6
 ) -> DiagonalState:
@@ -353,8 +347,7 @@ def recover_state(
     """
     d = matrix.dim
     if depth is None:
-        # deepest level whose defining column 2*(depth+1) still fits
-        depth = max(0, (d + 1) // 2 - 2)
+        depth = recovery_depth(d)
     if 2 * (depth + 1) >= d:
         raise ValueError(f"depth {depth} needs dimension > {2 * (depth + 1)}")
     lam = []
@@ -401,7 +394,7 @@ class CriterionInapplicableError(ValueError):
 def post_equiv_class(
     m1: PhaseMatrix,
     m2: PhaseMatrix,
-    tol: float = 1e-10,
+    tol: float = EPS_EQUIV,
     sharp_kwargs: Optional[dict] = None,
 ) -> Optional[complex]:
     """Circle point x with ``c2 = c1 * x**(n-m)``, if the matrices admit one.
@@ -440,9 +433,9 @@ def post_equiv_class(
     if not candidates:
         # both matrices are diagonal; any x works, pick the identity
         return 1.0 + 0.0j
-    exponents = -np.subtract.outer(np.arange(d), np.arange(d))  # n - m
+    exponents = -np.arange(-(d - 1), d)  # n - m along the Toeplitz table
     for x in candidates:
-        factor = np.power(x, exponents)
+        factor = _toeplitz(np.power(x, exponents))
         if np.abs(c2 - c1 * factor).max() <= max(tol, 1e-12) * 10:
             return x
     return None
@@ -554,7 +547,7 @@ def preprocess(matrix: PhaseMatrix, spec: CovariantChannelSpec) -> PhaseMatrix:
     return PhaseMatrix(out)
 
 
-def preclean_check(matrix: PhaseMatrix, tol: float = 1e-6) -> Optional[int]:
+def preclean_check(matrix: PhaseMatrix, tol: float = DEFAULT_TAIL_TOL) -> Optional[int]:
     """Smallest n0 whose tail block is unimodular (hence rank-one).
 
     Looks for the least n0 with ``|c[m, n]| >= 1 - tol`` for all

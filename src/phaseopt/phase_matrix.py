@@ -14,12 +14,14 @@ from typing import Optional
 
 import numpy as np
 
+from ._serialize import matrix_from_dict, matrix_to_dict
 from .specfun import c_state_matrix
 
 __all__ = [
     "EPS_PSD",
     "EPS_RANK",
     "EPS_GRAM",
+    "EPS_EQUIV",
     "ValidationReport",
     "validate",
     "PhaseMatrix",
@@ -39,6 +41,8 @@ __all__ = [
 EPS_PSD = 1e-10
 EPS_RANK = 1e-9
 EPS_GRAM = 1e-10
+# entrywise agreement demanded by the equivalence decisions
+EPS_EQUIV = 1e-10
 _EPS_HERM = 1e-12
 
 
@@ -78,6 +82,12 @@ def _mirror_lower(a: np.ndarray) -> np.ndarray:
     return lower + lower.conj().T + np.diag(np.diag(a).real)
 
 
+def _toeplitz(table: np.ndarray) -> np.ndarray:
+    """Multiplier f(m - n) as a D x D array, from table = f(-(D-1)), ..., f(D-1)."""
+    d = (len(table) + 1) // 2
+    return table[np.subtract.outer(np.arange(d), np.arange(d)) + (d - 1)]
+
+
 def validate(entries, eps_psd: float = EPS_PSD) -> ValidationReport:
     """Check Hermiticity, unit diagonal and positive semidefiniteness.
 
@@ -85,8 +95,8 @@ def validate(entries, eps_psd: float = EPS_PSD) -> ValidationReport:
     and a witness (offending entry or eigenvalue) are reported.
     """
     a = np.asarray(entries, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
     dim = a.shape[0]
     failures = []
     witness = {}
@@ -106,7 +116,7 @@ def validate(entries, eps_psd: float = EPS_PSD) -> ValidationReport:
         )
 
     herm = np.abs(a - a.conj().T)
-    herm_dev = float(herm.max()) if dim else 0.0
+    herm_dev = float(herm.max())
     if herm_dev > _EPS_HERM:
         failures.append("hermitian")
         i, j = np.unravel_index(int(herm.argmax()), herm.shape)
@@ -176,20 +186,11 @@ class PhaseMatrix:
         )
 
     def to_dict(self) -> dict:
-        flat = self.entries.reshape(-1)
-        return {
-            "dim": self.dim,
-            "entries": [[float(z.real), float(z.imag)] for z in flat],
-        }
+        return matrix_to_dict(self.entries)
 
     @staticmethod
     def from_dict(data: dict) -> "PhaseMatrix":
-        dim = int(data["dim"])
-        raw = data["entries"]
-        if len(raw) != dim * dim:
-            raise ValueError(f"entries has {len(raw)} pairs, expected {dim * dim}")
-        arr = np.array([complex(re, im) for re, im in raw]).reshape(dim, dim)
-        return PhaseMatrix(arr)
+        return PhaseMatrix(matrix_from_dict(data))
 
 
 @dataclass(frozen=True)
@@ -221,8 +222,6 @@ class EtaSystem:
 
 def canonical(dim: int) -> PhaseMatrix:
     """All-ones phase matrix (the canonical phase observable)."""
-    if dim < 1:
-        raise ValueError("dim must be positive")
     return PhaseMatrix(np.ones((dim, dim), dtype=np.complex128))
 
 
@@ -235,8 +234,6 @@ def chessboard(xi: complex, dim: int) -> PhaseMatrix:
     xi = complex(xi)
     if abs(xi) > 1.0 + 1e-12:
         raise ValueError(f"|xi| must be <= 1, got {abs(xi)}")
-    if dim < 1:
-        raise ValueError("dim must be positive")
     c = np.empty((dim, dim), dtype=np.complex128)
     idx = np.arange(dim)
     even = (idx % 2 == 0)
@@ -283,8 +280,8 @@ def from_eta(vectors, eps_gram: float = EPS_GRAM) -> PhaseMatrix:
 
 def example4(n0: int, dim: int) -> PhaseMatrix:
     """Identity block followed by an all-ones tail starting at index n0."""
-    if n0 < 0 or dim < 1:
-        raise ValueError("need n0 >= 0 and dim >= 1")
+    if n0 < 0:
+        raise ValueError("need n0 >= 0")
     c = np.eye(dim, dtype=np.complex128)
     c[n0:, n0:] = 1.0
     return PhaseMatrix(c)
@@ -292,8 +289,6 @@ def example4(n0: int, dim: int) -> PhaseMatrix:
 
 def example5(dim: int) -> PhaseMatrix:
     """Rank-2 Gram family: e0, e1, (e0+e1)/sqrt2, (e0+ie1)/sqrt2, then e0."""
-    if dim < 1:
-        raise ValueError("dim must be positive")
     f1 = np.array([1.0, 0.0], dtype=np.complex128)
     f2 = np.array([0.0, 1.0], dtype=np.complex128)
     special = [f1, f2, (f1 + f2) / np.sqrt(2.0), (f1 + 1j * f2) / np.sqrt(2.0)]
@@ -328,7 +323,7 @@ def translate(matrix: PhaseMatrix, x: complex) -> PhaseMatrix:
 
 
 def u_equivalent(
-    m1: PhaseMatrix, m2: PhaseMatrix, tol: float = 1e-10
+    m1: PhaseMatrix, m2: PhaseMatrix, tol: float = EPS_EQUIV
 ) -> Optional[np.ndarray]:
     """Unimodular sequence lambda with ``c1 = lam_n * conj(lam_m) * c2``.
 

@@ -54,6 +54,8 @@ def test_config_validates_ranges():
         Config(dim=1)
     with pytest.raises(ValueError):
         Config(tol_sharp=-0.1)
+    with pytest.raises(ValueError):
+        Config(eps_psd=float("nan"))
 
 
 # --- gen / validate ---------------------------------------------------------------
@@ -419,6 +421,46 @@ def test_malformed_input_is_diagnosed(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps({"dim": 3}))
     code, _ = run_cli(capsys, "check", "sharp", "--in", str(path))
     assert code == 1
+    for text, message in (
+        ('{"dim": 1, "entries": [["a", 0]]}', "pairs of numbers"),
+        ('{"dim": 1, "entries": [1]}', "pairs of numbers"),
+        ('{"dim": 1, "entries": [[true, false]]}', "pairs of numbers"),
+        ('{"dim": 1, "entries": [[1, null]]}', "pairs of numbers"),
+        ('{"dim": 0, "entries": []}', "dim must be a positive integer"),
+        ('{"dim": 2, "entries": [[1, 0], [0, 0], [0, 0]]}', "entries has 3 pairs, expected 4"),
+        ("[1, 2]", "expected a JSON object"),
+    ):
+        for argv in (["check", "sharp"], ["validate"]):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert main(argv) == 1, (argv, text)
+            assert message in capsys.readouterr().err, (argv, text)
+    scenario = scenario_payload()
+    for seed in ([[1, 0], [0, 1]], np.eye(4).tolist(), [[1, 0, 0], [0, 1], [0, 0, 1]]):
+        scenario["seed"] = seed
+        path.write_text(json.dumps(scenario))
+        assert main(["groupsim", "--scenario", str(path)]) == 1, seed
+        assert "seed must be a 3 x 3" in capsys.readouterr().err
+
+
+def test_flag_values_must_be_positive(capsys, monkeypatch):
+    _, gen_out = run_cli(capsys, "gen", "canonical", "--dim", "8")
+    for argv in (
+        ["check", "preclean", "--tol", "0"],
+        ["check", "sharp", "--tol", "-0.1"],
+        ["check", "uequiv", "--tol", "nan", "--other", "-"],
+        ["density", "--coherent", "1.0", "--grid", "0"],
+        ["channel-identity", "--grid", "0"],
+        ["gen", "canonical", "--dim", "0"],
+        ["oracle-et", "--dim", "0"],
+        ["oracle-et", "--tol=-1e-6"],
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(gen_out))
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be positive" in captured.err, argv
+    # the tolerance used is the one reported
+    code, out = run_cli_stdin(capsys, monkeypatch, gen_out, "check", "preclean", "--tol", "0.25")
+    assert json.loads(out)["tolerances"] == {"tail_modulus": 0.25}
 
 
 def test_dimension_mismatch_is_explicit(tmp_path, capsys, monkeypatch):

@@ -317,6 +317,10 @@ def test_json_round_trip():
     m = chessboard(0.5 + 0.1j, 6)
     again = PhaseMatrix.from_dict(m.to_dict())
     assert again.allclose(m)
+    assert np.array_equal(again.entries, m.entries)
+    # numpy scalars, as a library caller may build the dict, decode as well
+    data = {"dim": np.int64(6), "entries": [[z.real, z.imag] for z in m.entries.ravel()]}
+    assert np.array_equal(PhaseMatrix.from_dict(data).entries, m.entries)
 
 
 def test_json_rejects_invalid_entries():
