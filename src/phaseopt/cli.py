@@ -107,7 +107,10 @@ def _parse_levels(spec: str) -> np.ndarray:
         if "@" not in chunk:
             raise CliError(f"level spec {chunk!r} is not 'weight@level'")
         w, lvl = chunk.split("@", 1)
-        pairs.append((float(w), int(lvl)))
+        level = int(lvl)
+        if level < 0:
+            raise CliError(f"level spec {chunk!r} has a negative level")
+        pairs.append((float(w), level))
     size = max(lvl for _, lvl in pairs) + 1
     weights = np.zeros(size)
     for w, lvl in pairs:
@@ -352,7 +355,7 @@ def _cmd_groupsim(args, cfg: Config) -> int:
     for name in scn.get("checks", []):
         try:
             results[name] = _run_groupsim_check(name, rep, obs, nu, scn, rng)
-        except (AssertionError, ValueError) as exc:
+        except ValueError as exc:
             results[name] = {"verdict": "fail", "reason": str(exc)}
             failed = True
     data = {"N": rep.order, "dim": rep.dim, "checks": results}
@@ -371,23 +374,29 @@ def _covariance_residual(rep, obs) -> float:
     return worst
 
 
+def _require(passed, reason: str) -> None:
+    """Fail a groupsim check; unlike assert, this survives python -O."""
+    if not passed:
+        raise ValueError(reason)
+
+
 def _run_groupsim_check(name, rep, obs, nu, scn, rng) -> dict:
     n = rep.order
     if name in ("covariance", "smear-covariance"):
         smeared = name == "smear-covariance"
         worst = _covariance_residual(rep, gs.smear_finite(obs, nu) if smeared else obs)
-        assert worst < 1e-12, f"{'smeared ' if smeared else ''}covariance residual {worst}"
+        _require(worst < 1e-12, f"{'smeared ' if smeared else ''}covariance residual {worst}")
         return {"verdict": "pass", "residual": worst}
     if name == "additivity":
         total = obs.effect_set(range(n))
         dev = float(np.abs(total - np.eye(rep.dim)).max())
-        assert dev < 1e-10, f"additivity residual {dev}"
+        _require(dev < 1e-10, f"additivity residual {dev}")
         return {"verdict": "pass", "residual": dev}
     if name == "faithful":
         worst = min(
             float(np.abs(obs.effect(x)).max()) for x in range(n)
         )
-        assert worst > 1e-12, "some singleton effect vanishes"
+        _require(worst > 1e-12, "some singleton effect vanishes")
         return {"verdict": "pass", "min_effect_weight": worst}
     if name == "norm-bound":
         subset = tuple(scn.get("subset", [0]))
@@ -408,19 +417,19 @@ def _run_groupsim_check(name, rep, obs, nu, scn, rng) -> dict:
     if name == "covariantize":
         chan = gs.random_channel(rep.dim, rng)
         cov = gs.covariantize(rep, chan)
-        assert gs.is_channel(cov), "covariantized map is not a channel"
+        _require(gs.is_channel(cov), "covariantized map is not a channel")
         worst = 0.0
         for g in range(n):
             s = rep.state_action(g)
             worst = max(worst, float(np.abs(s @ cov - cov @ s).max()))
-        assert worst < 1e-10, f"covariance residual {worst}"
+        _require(worst < 1e-10, f"covariance residual {worst}")
         return {"verdict": "pass", "residual": worst}
     if name == "pre-norm-unitary":
         w = np.diag(np.exp(2j * np.pi * rng.random(rep.dim)))
         chan = gs.unitary_channel(w)
         pre = gs.FiniteCovariantObservable(rep, w.conj().T @ obs.seed @ w)
         report = gs.pre_norm_check(obs, pre, chan)
-        assert report["norm_equal_everywhere"], "unitary preprocessing changed norms"
+        _require(report["norm_equal_everywhere"], "unitary preprocessing changed norms")
         return {"verdict": "pass", **report}
     if name == "pre-norm-depolarizing":
         chan = gs.depolarizing_channel(rep.dim)

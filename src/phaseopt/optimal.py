@@ -17,7 +17,7 @@ import numpy as np
 from .measure import TWO_PI, DiagonalState
 from ._serialize import complex_from_pairs
 from .phase_matrix import EPS_EQUIV, EtaSystem, PhaseMatrix, _toeplitz, gram_factor
-from .specfun import c_state
+from .specfun import c_fock_0_2k
 
 __all__ = [
     "CircleMeasure",
@@ -336,14 +336,16 @@ def recover_state(
     """Reconstruct the generating diagonal state from the (0, 2k) entries.
 
     Solves the triangular system
-    ``c[0, 2(k+1)] = sum_{s <= k} lam_s * c_state(s, 0, 2(k+1))``
+    ``c[0, 2(k+1)] = sum_{s <= k} lam_s * c_fock_0_2k(s, k+1)``
     level by level (each new level enters with a structurally nonzero
-    coefficient).  The dividing coefficients shrink super-exponentially,
-    so a floating noise bound is propagated alongside the weights; levels
-    are rejected as negative only beyond both ``tol`` and that bound, and
-    values below the bound are read as zero.  Raises
-    :class:`NotStateGeneratedError` on resolvably negative weights or when
-    the total mass leaves [1 - tol, 1 + tol].
+    coefficient).  The closed form ``c_fock_0_2k(s, k+1)`` is bitwise equal
+    to ``c_state(s, 0, 2(k+1))``.  The dividing coefficients shrink
+    super-exponentially, so a floating noise bound is propagated alongside
+    the weights; levels are rejected as negative only beyond both ``tol``
+    and that bound, and values below the bound are read as zero.  Raises
+    :class:`NotStateGeneratedError` on resolvably negative weights, when
+    the total mass leaves [1 - tol, 1 + tol], or when every level reads as
+    zero (the noise bound then exceeds the whole mass).
     """
     d = matrix.dim
     if depth is None:
@@ -357,7 +359,7 @@ def recover_state(
         target = matrix.entries[0, col]
         if abs(target.imag) > tol:
             raise NotStateGeneratedError(f"entry (0, {col}) is not real")
-        coeffs = [c_state(s, 0, col) for s in range(k + 1)]
+        coeffs = [c_fock_0_2k(s, k + 1) for s in range(k + 1)]
         acc = target.real - sum(lam[s] * coeffs[s] for s in range(k))
         noise = _RECOVERY_ENTRY_EPS + sum(
             errs[s] * abs(coeffs[s]) for s in range(k)
@@ -384,6 +386,10 @@ def recover_state(
             f"recovered mass {total} falls short of 1 at depth {depth}"
         )
     weights = np.clip(np.array(lam), 0.0, None)
+    if not weights.sum() > 0.0:
+        raise NotStateGeneratedError(
+            f"no recovered weight exceeds its noise bound at depth {depth}"
+        )
     return DiagonalState(weights / weights.sum())
 
 

@@ -1,12 +1,15 @@
 """Command-line front end: subcommands, piping, determinism, config."""
 
+import ast
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phaseopt
 from phaseopt._serialize import dumps
 from phaseopt.cli import main
 from phaseopt.config import Config, load_config
@@ -337,6 +340,18 @@ def test_recover_state_rejects_canonical(capsys, monkeypatch):
     assert json.loads(out)["verdict"] == "not-state-generated"
 
 
+def test_recover_state_refuses_when_every_level_reads_zero(capsys, monkeypatch):
+    # the noise bound exceeds the whole mass, so no weight can be normalised
+    _, gen_out = run_cli(capsys, "gen", "example4", "--n0", "3", "--dim", "64")
+    code, out = run_cli_stdin(
+        capsys, monkeypatch, gen_out, "recover-state", "--assert"
+    )
+    assert code == 2
+    report = json.loads(out)
+    assert report["verdict"] == "not-state-generated"
+    assert "noise bound" in report["reason"] and "NaN" not in out
+
+
 def test_oracle_et_command(capsys):
     code, out = run_cli(
         capsys,
@@ -389,6 +404,23 @@ def test_groupsim_scenario_runs_all_checks(tmp_path, capsys):
         assert res["verdict"] == "pass", (name, res)
 
 
+def test_groupsim_checks_decide_without_assert(tmp_path, capsys, monkeypatch):
+    # python -O strips assert statements, which would pass every check
+    for path in Path(phaseopt.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert asserts == [], (path.name, asserts)
+    monkeypatch.setattr("phaseopt.groupsim.covariantize", lambda rep, chan: 0 * chan)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**scenario_payload(), "checks": ["covariantize"]}))
+    code, out = run_cli(capsys, "groupsim", "--scenario", str(path), "--assert")
+    assert code == 2
+    assert json.loads(out)["checks"]["covariantize"] == {
+        "verdict": "fail",
+        "reason": "covariantized map is not a channel",
+    }
+
+
 # --- determinism ---------------------------------------------------------------------
 
 
@@ -434,6 +466,11 @@ def test_malformed_input_is_diagnosed(tmp_path, capsys, monkeypatch):
             monkeypatch.setattr("sys.stdin", io.StringIO(text))
             assert main(argv) == 1, (argv, text)
             assert message in capsys.readouterr().err, (argv, text)
+    for levels in ("0.5@-1,0.5@0", "0.5@-3,0.5@1"):
+        assert main(["gen", "state", "--dim", "8", "--levels", levels]) == 1, levels
+        captured = capsys.readouterr()
+        assert captured.out == "", levels
+        assert captured.err.startswith("error: ") and "negative level" in captured.err
     scenario = scenario_payload()
     for seed in ([[1, 0], [0, 1]], np.eye(4).tolist(), [[1, 0, 0], [0, 1], [0, 0, 1]]):
         scenario["seed"] = seed

@@ -1,12 +1,15 @@
 """Special-function layer: frozen values plus independent quadrature oracles."""
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import eval_genlaguerre
 
+from phaseopt import specfun
 from phaseopt.specfun import (
     c_fock_0_2k,
     c_state,
@@ -41,6 +44,52 @@ def overlap_quadrature(s, m, n):
         limit=300,
     )
     return val
+
+
+def bits(x):
+    """float64 bit patterns, so that 0.0 and -0.0 differ."""
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def rising(x, n):
+    out = Fraction(1)
+    for i in range(n):
+        out *= x + i
+    return out
+
+
+def oracle_entry(s, m, n):
+    """c_state(s, m, n) at 50 digits by a route that shares no code with the kernel.
+
+    With a = min(m, s), alpha = |m - s| (b, beta likewise for n) the entry is
+    sign * sqrt(a! b! / (max(m, s)! max(n, s)!)) times the integral of
+    x**(gamma - 1) L_a^alpha L_b^beta exp(-x), gamma = (alpha + beta) / 2 + 1.
+    Expanding both factors in L_k^(gamma - 1) and using their orthogonality
+    gives the integral as Gamma(gamma) times
+    sum_k (d)_(a-k) / (a-k)! * (-d)_(b-k) / (b-k)! * (gamma)_k / k!, with
+    d = (alpha - beta) / 2.  That sum is exact, so a Gamma-pole zero is an
+    exact 0; the irrational rest is evaluated by mpmath at 50 digits.
+    """
+    a, alpha = min(m, s), abs(m - s)
+    b, beta = min(n, s), abs(n - s)
+    d = Fraction(alpha - beta, 2)
+    gamma = Fraction(alpha + beta, 2) + 1
+    total = sum(
+        rising(d, a - k) / math.factorial(a - k)
+        * rising(-d, b - k) / math.factorial(b - k)
+        * rising(gamma, k) / math.factorial(k)
+        for k in range(min(a, b) + 1)
+    )
+    if total == 0:
+        return mpmath.mpf(0)
+    sign = (-1) ** (max(0, s - m) + max(0, s - n))
+    with mpmath.workdps(50):
+        scale = mpmath.sqrt(
+            mpmath.mpf(math.factorial(a) * math.factorial(b))
+            / (math.factorial(max(m, s)) * math.factorial(max(n, s)))
+        )
+        g = mpmath.gamma(mpmath.mpf(gamma.numerator) / gamma.denominator)
+        return sign * scale * g * mpmath.mpf(total.numerator) / total.denominator
 
 
 # --- laguerre -----------------------------------------------------------------
@@ -225,6 +274,68 @@ def test_c_state_matrix_agrees_with_scalar():
     for m in range(9):
         for n in range(9):
             assert mat[m, n] == c_state(2, m, n)
+    # the row kernel hands _ratio_sqrt the integers c_state builds: bit for bit
+    for s in (0, 1, 2, 3, 5, 9, 16):
+        mat = c_state_matrix(s, 64)
+        scalar = [[c_state(s, m, n) for n in range(64)] for m in range(64)]
+        assert np.array_equal(bits(mat), bits(scalar)), s
+
+
+def power_expansion_sum(U, V, sigma):
+    """R by multiplying out both Laguerre factors and integrating power by power."""
+    jmax = len(U) + len(V) - 2
+    W = [0] * (jmax + 1)
+    for l1, u in enumerate(U):
+        for l2, v in enumerate(V):
+            W[l1 + l2] += u * v
+    if sigma % 2 == 0:
+        g0 = sigma // 2 + 1
+        return sum(w * math.prod(range(g0, g0 + j)) for j, w in enumerate(W))
+    # 2**jmax * (sigma/2 + 1)_j as odd-integer products
+    return sum(
+        w * math.prod(range(sigma + 2, sigma + 2 * j + 1, 2)) << (jmax - j)
+        for j, w in enumerate(W)
+    )
+
+
+def test_alt_sum_equals_power_expansion():
+    rng = np.random.default_rng(8)
+    cases = [(s, m, n) for s in range(6) for m in range(9) for n in range(9)]
+    cases += [tuple(int(v) for v in rng.integers(0, (30, 120, 120))) for _ in range(300)]
+    for s, m, n in cases:
+        U = specfun._laguerre_ints(max(m, s), min(m, s))
+        V = specfun._laguerre_ints(max(n, s), min(n, s))
+        sigma = abs(m - s) + abs(n - s)
+        exact = power_expansion_sum(U, V, sigma)
+        assert specfun._alt_sum(U, min(n, s), abs(n - s), sigma) == exact, (s, m, n)
+
+
+def test_c_state_matrix_bitwise_at_dim_256():
+    rng = np.random.default_rng(11)
+    for s in (1, 5):
+        mat = c_state_matrix(s, 256)
+        for m, n in rng.integers(0, 256, size=(150, 2)):
+            assert bits(mat[m, n]) == bits(c_state(s, int(m), int(n))), (s, m, n)
+
+
+def test_c_state_against_mpmath_oracle():
+    rng = np.random.default_rng(20)
+    cases = [tuple(int(v) for v in rng.integers(0, (65, 513, 513))) for _ in range(60)]
+    cases += [(s, 0, 2 * k) for s in (5, 40, 64) for k in (1, s // 2, s)]  # Gamma poles
+    cases += [(s, m, m + 2 * j) for s, m, j in ((9, 3, 2), (30, 10, 12), (64, 0, 64))]
+    cases += [(19, 0, 656), (64, 512, 512), (64, 511, 512)]
+    zeros = 0
+    for s, m, n in cases:
+        ours, exact = c_state(s, m, n), oracle_entry(s, m, n)
+        if exact == 0:
+            zeros += 1
+            assert bits(ours) == bits(0.0), (s, m, n, ours)
+        else:
+            # _ratio_sqrt rounds a 64-bit quotient, then the float, the sqrt and
+            # (odd sigma) the product with sqrt(pi): at most 2 eps relative
+            rel = abs((ours - exact) / exact)
+            assert rel <= 2 * np.finfo(float).eps, (s, m, n, ours, float(exact))
+    assert zeros >= 12
 
 
 # --- c_fock_0_2k --------------------------------------------------------------
@@ -239,6 +350,12 @@ def test_c_fock_cross_checks_integral_route():
     for s in range(13):
         for k in range(1, 13):
             assert abs(c_fock_0_2k(s, k) - c_state(s, 0, 2 * k)) < 1e-10
+    # the closed form passes _ratio_sqrt the integers of c_state: bit for bit
+    rng = np.random.default_rng(4)
+    cases = [(19, 328), (0, 1), (3, 3), (3, 4), (40, 129)]
+    cases += [(int(s), int(k)) for s, k in rng.integers((0, 1), (64, 400), size=(60, 2))]
+    for s, k in cases:
+        assert bits(c_fock_0_2k(s, k)) == bits(c_state(s, 0, 2 * k)), (s, k)
 
 
 # --- displacement_element -----------------------------------------------------
