@@ -45,6 +45,7 @@ from .optimal import (
     smear,
 )
 from .phase_matrix import (
+    LEVEL_CUTOFF,
     PhaseMatrix,
     canonical,
     chessboard,
@@ -110,6 +111,8 @@ def _parse_levels(spec: str) -> np.ndarray:
         level = int(lvl)
         if level < 0:
             raise CliError(f"level spec {chunk!r} has a negative level")
+        if level >= LEVEL_CUTOFF:
+            raise CliError(f"state support reaches level {level}, above the cutoff {LEVEL_CUTOFF}")
         pairs.append((float(w), level))
     size = max(lvl for _, lvl in pairs) + 1
     weights = np.zeros(size)
@@ -331,7 +334,7 @@ def _cmd_oracle_et(args, cfg: Config) -> int:
     return _report(args, data, dev >= args.tol)
 
 
-def _scenario_matrix(raw, dim: int) -> np.ndarray:
+def _scenario_matrix(raw, dim: int, key: str = "seed") -> np.ndarray:
     """Scenario seed: a dim x dim list of numbers or [re, im] pairs."""
     try:
         cells = [[complex(*c) if isinstance(c, list) else c for c in row] for row in raw]
@@ -339,7 +342,7 @@ def _scenario_matrix(raw, dim: int) -> np.ndarray:
     except (TypeError, ValueError):
         arr = None
     if arr is None or arr.shape != (dim, dim):
-        raise ValueError(f"seed must be a {dim} x {dim} list of numbers or [re, im] pairs")
+        raise ValueError(f"{key} must be a {dim} x {dim} list of numbers or [re, im] pairs")
     return arr
 
 
@@ -347,6 +350,7 @@ def _cmd_groupsim(args, cfg: Config) -> int:
     scn = _load_json(args.scenario)
     rep = gs.CyclicRep(int(scn["N"]), tuple(scn["weights"]))
     seed = _scenario_matrix(scn["seed"], rep.dim)
+    seed2 = _scenario_matrix(scn["seed2"], rep.dim, "seed2") if "seed2" in scn else np.eye(rep.dim)
     obs = gs.make_covariant(rep, seed)
     nu = gs.FiniteMeasure(tuple(scn.get("nu", [1.0] + [0.0] * (rep.order - 1))))
     results = {}
@@ -354,7 +358,7 @@ def _cmd_groupsim(args, cfg: Config) -> int:
     rng = np.random.default_rng(scn.get("rng_seed", 7))
     for name in scn.get("checks", []):
         try:
-            results[name] = _run_groupsim_check(name, rep, obs, nu, scn, rng)
+            results[name] = _run_groupsim_check(name, rep, obs, nu, seed2, scn, rng)
         except ValueError as exc:
             results[name] = {"verdict": "fail", "reason": str(exc)}
             failed = True
@@ -380,7 +384,7 @@ def _require(passed, reason: str) -> None:
         raise ValueError(reason)
 
 
-def _run_groupsim_check(name, rep, obs, nu, scn, rng) -> dict:
+def _run_groupsim_check(name, rep, obs, nu, seed2, scn, rng) -> dict:
     n = rep.order
     if name in ("covariance", "smear-covariance"):
         smeared = name == "smear-covariance"
@@ -409,9 +413,7 @@ def _run_groupsim_check(name, rep, obs, nu, scn, rng) -> dict:
             "effect norm on every singleton",
         }
     if name == "mix-inequality":
-        other = gs.make_covariant(
-            rep, _scenario_matrix(scn["seed2"], rep.dim) if "seed2" in scn else np.eye(rep.dim)
-        )
+        other = gs.make_covariant(rep, seed2)
         report = gs.convexity_check(obs, other, float(scn.get("alpha", 0.5)))
         return {"verdict": "pass", **report}
     if name == "covariantize":

@@ -9,7 +9,6 @@ sweeps are exhaustive.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
@@ -35,7 +34,14 @@ __all__ = [
     "mix",
     "convexity_check",
     "pre_norm_check",
+    "MAX_SWEEP_ORDER",
 ]
+
+# Largest group order N whose 2^N - 1 outcome subsets are swept: one cached
+# float per subset is 8 MiB per observable at N = 20.
+MAX_SWEEP_ORDER = 20
+# Subset sums are stacked 2^_BLOCK_BITS at a time for each eigvalsh call.
+_BLOCK_BITS = 9
 
 
 @dataclass(frozen=True)
@@ -105,13 +111,20 @@ class FiniteMeasure:
         return FiniteMeasure(tuple(out))
 
 
+def _finite_seed(seed) -> np.ndarray:
+    seed = np.asarray(seed, dtype=np.complex128)
+    if not np.isfinite(seed).all():
+        raise ValueError("seed entries must be finite")
+    return seed
+
+
 class FiniteCovariantObservable:
     """Covariant observable on Z_N: effects U(x) A U(x)^* from a seed A."""
 
-    __slots__ = ("rep", "seed", "_effects")
+    __slots__ = ("rep", "seed", "_effects", "_subset_norms")
 
     def __init__(self, rep: CyclicRep, seed: np.ndarray, *, tol: float = 1e-10):
-        seed = np.asarray(seed, dtype=np.complex128)
+        seed = _finite_seed(seed)
         if seed.shape != (rep.dim, rep.dim):
             raise ValueError("seed shape does not match the representation")
         if np.abs(seed - seed.conj().T).max() > 1e-10:
@@ -125,6 +138,7 @@ class FiniteCovariantObservable:
         self.rep = rep
         self.seed = seed
         self._effects = effects
+        self._subset_norms = None
 
     def effect(self, x: int) -> np.ndarray:
         return self._effects[x % self.rep.order]
@@ -141,6 +155,40 @@ class FiniteCovariantObservable:
             return 0.0
         return float(np.linalg.eigvalsh(self.effect_set(subset))[-1])
 
+    def subset_norms(self) -> np.ndarray:
+        """``|E(X)|`` for every subset X of Z_N, indexed by the bitmask of X.
+
+        Entry ``mask`` equals ``self.norm(X)`` bit for bit, X being the
+        elements whose bits are set: every sum starts from zeros and adds
+        the effects in ascending order, as ``effect_set`` does, and the
+        stacked ``eigvalsh`` runs the same LAPACK call on each matrix.
+        Sums over the low bits are built once by doubling; each high part
+        adds its effects to that block.  Computed on first use, then cached
+        read-only.  Raises ValueError above ``MAX_SWEEP_ORDER``.
+        """
+        if self._subset_norms is None:
+            n, d = self.rep.order, self.rep.dim
+            if n > MAX_SWEEP_ORDER:
+                raise ValueError(
+                    f"group order N = {n} is above the subset-sweep limit "
+                    f"{MAX_SWEEP_ORDER} (2^N - 1 subsets)"
+                )
+            low = min(n, _BLOCK_BITS)
+            sums = np.zeros((1 << low, d, d), dtype=np.complex128)
+            for k in range(low):
+                sums[1 << k : 2 << k] = sums[: 1 << k] + self._effects[k]
+            out = np.empty(1 << n)
+            for high in range(1 << (n - low)):
+                block = sums
+                for k in range(low, n):
+                    if high >> (k - low) & 1:
+                        block = block + self._effects[k]
+                out[high << low : (high + 1) << low] = np.linalg.eigvalsh(block)[:, -1]
+            out[0] = 0.0
+            out.flags.writeable = False
+            self._subset_norms = out
+        return self._subset_norms
+
 
 def make_covariant(rep: CyclicRep, seed: np.ndarray) -> FiniteCovariantObservable:
     """Rescale a PSD seed so its orbit resolves the identity.
@@ -149,7 +197,7 @@ def make_covariant(rep: CyclicRep, seed: np.ndarray) -> FiniteCovariantObservabl
     representation, so conjugating the seed by S^(-1/2) normalizes the
     orbit; a singular average means the seed cannot generate a POVM.
     """
-    seed = np.asarray(seed, dtype=np.complex128)
+    seed = _finite_seed(seed)
     avg = sum(
         rep.unitary(x) @ seed @ rep.unitary(x).conj().T for x in range(rep.order)
     )
@@ -176,8 +224,8 @@ def norm_bound_check(
 ) -> Tuple[float, float]:
     """Smearing norm bound: returns (|E_nu(X)|, max_g nu(X - g)).
 
-    The left side can never exceed the right side; the assertion is made
-    here so scenario runs fail loudly on violation.
+    The left side can never exceed the right side; a violation raises
+    ValueError so scenario runs report it as a failed check.
     """
     n = obs.rep.order
     smeared = smear_finite(obs, nu)
@@ -186,7 +234,7 @@ def norm_bound_check(
         sum(nu.weights[(x - g) % n] for x in subset) for g in range(n)
     )
     if lhs > rhs + 1e-10:
-        raise AssertionError(f"norm bound violated: {lhs} > {rhs}")
+        raise ValueError(f"norm bound violated: {lhs} > {rhs}")
     return lhs, rhs
 
 
@@ -282,6 +330,22 @@ def mix(
     return FiniteCovariantObservable(e1.rep, alpha * e1.seed + (1 - alpha) * e2.seed)
 
 
+def _first_in_sweep_order(bad: np.ndarray) -> Tuple[int, Tuple[int, ...]]:
+    """First flagged subset in (size, lexicographic) order.
+
+    ``bad`` is indexed by bitmask - 1 (the nonempty subsets).  Returns that
+    index and the subset as a sorted tuple, the order and form in which
+    ``itertools.combinations`` would have met it.
+    """
+
+    def subset(i):
+        mask = i + 1
+        return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+    i = min((int(i) for i in np.flatnonzero(bad)), key=lambda i: (len(subset(i)), subset(i)))
+    return i, subset(i)
+
+
 def convexity_check(
     e1: FiniteCovariantObservable,
     e2: FiniteCovariantObservable,
@@ -291,34 +355,31 @@ def convexity_check(
     """Exhaustive norm convexity sweep over all outcome subsets.
 
     Checks ``|E(X)| <= alpha |E1(X)| + (1-alpha) |E2(X)|`` for every
-    subset X of Z_N, and that saturation |E(X)| = 1 forces both component
-    norms to 1.  Returns a small report; raises on violation.
+    nonempty subset X of Z_N, and that saturation |E(X)| = 1 forces both
+    component norms to 1.  Returns a small report; raises ValueError on
+    violation, naming the first violating subset by size, then
+    lexicographically.
     """
     mixed = mix(e1, e2, alpha)
     n = e1.rep.order
-    worst_slack = math.inf
-    saturated = 0
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            nm = mixed.norm(subset)
-            n1 = e1.norm(subset)
-            n2 = e2.norm(subset)
-            bound = alpha * n1 + (1 - alpha) * n2
-            if nm > bound + tol:
-                raise AssertionError(
-                    f"convexity violated on {subset}: {nm} > {bound}"
-                )
-            worst_slack = min(worst_slack, bound - nm)
-            if nm >= 1.0 - tol:
-                saturated += 1
-                if n1 < 1.0 - tol or n2 < 1.0 - tol:
-                    raise AssertionError(
-                        f"norm saturation on {subset} not inherited: {n1}, {n2}"
-                    )
+    nm, n1, n2 = (obs.subset_norms()[1:] for obs in (mixed, e1, e2))
+    bound = alpha * n1 + (1 - alpha) * n2
+    grew = nm > bound + tol
+    saturated = nm >= 1.0 - tol
+    bad = grew | (saturated & ((n1 < 1.0 - tol) | (n2 < 1.0 - tol)))
+    if bad.any():
+        i, subset = _first_in_sweep_order(bad)
+        if grew[i]:
+            raise ValueError(
+                f"convexity violated on {subset}: {float(nm[i])} > {float(bound[i])}"
+            )
+        raise ValueError(
+            f"norm saturation on {subset} not inherited: {float(n1[i])}, {float(n2[i])}"
+        )
     return {
         "subsets": 2 ** n - 1,
-        "saturated": saturated,
-        "worst_slack": worst_slack,
+        "saturated": int(np.count_nonzero(saturated)),
+        "worst_slack": float((bound - nm).min()),
     }
 
 
@@ -331,8 +392,9 @@ def pre_norm_check(
     """Preprocessing can only shrink effect norms; verified exhaustively.
 
     Requires ``pre_obs({x}) = Phi^*(obs({x}))`` to hold first; then sweeps
-    all subsets asserting ``|F(X)| <= |E(X)|``, recording where equality
-    holds (unitary channels give equality everywhere).
+    all nonempty subsets for ``|F(X)| <= |E(X)|`` (ValueError naming the
+    first subset that breaks it), recording whether equality holds
+    everywhere (unitary channels give equality everywhere).
     """
     n = obs.rep.order
     adj = adjoint_channel_matrix(superop)
@@ -342,13 +404,10 @@ def pre_norm_check(
             raise ValueError(
                 f"pre_obs is not the pullback of obs through the channel at x={x}"
             )
-    equal_everywhere = True
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            nf = pre_obs.norm(subset)
-            ne = obs.norm(subset)
-            if nf > ne + tol:
-                raise AssertionError(f"norm grew under preprocessing on {subset}")
-            if abs(nf - ne) > 1e-9:
-                equal_everywhere = False
+    nf, ne = pre_obs.subset_norms()[1:], obs.subset_norms()[1:]
+    grew = nf > ne + tol
+    if grew.any():
+        _, subset = _first_in_sweep_order(grew)
+        raise ValueError(f"norm grew under preprocessing on {subset}")
+    equal_everywhere = not (np.abs(nf - ne) > 1e-9).any()
     return {"subsets": 2 ** n - 1, "norm_equal_everywhere": equal_everywhere}

@@ -36,6 +36,7 @@ __all__ = [
     "translate",
     "u_equivalent",
     "TruncationError",
+    "LEVEL_CUTOFF",
 ]
 
 EPS_PSD = 1e-10
@@ -44,6 +45,8 @@ EPS_GRAM = 1e-10
 # entrywise agreement demanded by the equivalence decisions
 EPS_EQUIV = 1e-10
 _EPS_HERM = 1e-12
+# number states at or above this level are refused by state_generated
+LEVEL_CUTOFF = 64
 
 
 class TruncationError(ValueError):
@@ -244,7 +247,7 @@ def chessboard(xi: complex, dim: int) -> PhaseMatrix:
     return PhaseMatrix(c)
 
 
-def state_generated(weights, dim: int, s_max: int = 64) -> PhaseMatrix:
+def state_generated(weights, dim: int, s_max: int = LEVEL_CUTOFF) -> PhaseMatrix:
     """Phase matrix of the observable generated by a diagonal state.
 
     ``weights`` is the probability vector over number states (anything

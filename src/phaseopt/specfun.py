@@ -317,6 +317,8 @@ def c_state_matrix(s: int, dim: int) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError("dim must be positive")
+    if s < 0:
+        raise ValueError("s must be nonnegative")
     cached = _MATRIX_CACHE.get(s)
     if cached is None or cached.shape[0] < dim:
         full = np.empty((dim, dim))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import phaseopt
+from phaseopt import groupsim as gs
 from phaseopt._serialize import dumps
 from phaseopt.cli import main
 from phaseopt.config import Config, load_config
@@ -404,11 +405,22 @@ def test_groupsim_scenario_runs_all_checks(tmp_path, capsys):
         assert res["verdict"] == "pass", (name, res)
 
 
+def raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_groupsim_checks_decide_without_assert(tmp_path, capsys, monkeypatch):
-    # python -O strips assert statements, which would pass every check
+    # python -O strips assert statements, which would pass every check, and the
+    # groupsim runner turns only ValueError into a failed verdict
     for path in Path(phaseopt.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
-        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        asserts = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+            or (isinstance(node, ast.Raise) and node.exc and raises_assertion_error(node))
+        ]
         assert asserts == [], (path.name, asserts)
     monkeypatch.setattr("phaseopt.groupsim.covariantize", lambda rep, chan: 0 * chan)
     path = tmp_path / "scenario.json"
@@ -419,6 +431,34 @@ def test_groupsim_checks_decide_without_assert(tmp_path, capsys, monkeypatch):
         "verdict": "fail",
         "reason": "covariantized map is not a channel",
     }
+    # a sweep violation: the "mixture" is the sharper component itself
+    monkeypatch.setattr("phaseopt.groupsim.mix", lambda e1, e2, alpha: e1)
+    path.write_text(json.dumps({**scenario_payload(), "checks": ["mix-inequality"]}))
+    code, out = run_cli(capsys, "groupsim", "--scenario", str(path), "--assert")
+    assert code == 2
+    report = json.loads(out)["checks"]["mix-inequality"]
+    assert report["verdict"] == "fail"
+    assert report["reason"].startswith("convexity violated on (0,): ")
+
+
+def test_groupsim_refuses_sweeps_above_the_order_limit(tmp_path, capsys):
+    n = gs.MAX_SWEEP_ORDER + 1
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "N": n, "weights": [0], "seed": [[1.0]],
+        "checks": ["additivity", "mix-inequality", "pre-norm-depolarizing"],
+    }))
+    code = main(["groupsim", "--scenario", str(path), "--assert"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    checks = json.loads(captured.out)["checks"]
+    assert checks["additivity"]["verdict"] == "pass"
+    reason = (
+        f"group order N = {n} is above the subset-sweep limit {gs.MAX_SWEEP_ORDER} "
+        "(2^N - 1 subsets)"
+    )
+    for name in ("mix-inequality", "pre-norm-depolarizing"):
+        assert checks[name] == {"verdict": "fail", "reason": reason}
 
 
 # --- determinism ---------------------------------------------------------------------
@@ -471,12 +511,25 @@ def test_malformed_input_is_diagnosed(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == "", levels
         assert captured.err.startswith("error: ") and "negative level" in captured.err
+    # refused before a weight vector of the level's size is built
+    assert main(["gen", "state", "--dim", "8", "--levels", "1@100000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: state support reaches level 100000000, above the cutoff 64\n"
     scenario = scenario_payload()
     for seed in ([[1, 0], [0, 1]], np.eye(4).tolist(), [[1, 0, 0], [0, 1], [0, 0, 1]]):
         scenario["seed"] = seed
         path.write_text(json.dumps(scenario))
         assert main(["groupsim", "--scenario", str(path)]) == 1, seed
         assert "seed must be a 3 x 3" in capsys.readouterr().err
+    for key, value, message in (
+        ("seed2", np.eye(4).tolist(), "seed2 must be a 3 x 3"),
+        ("seed", [[1.0, math.nan, 0.0], [math.nan, 1.0, 0.0], [0.0, 0.0, 1.0]], "finite"),
+    ):
+        path.write_text(json.dumps({**scenario_payload(), key: value}))
+        assert main(["groupsim", "--scenario", str(path), "--assert"]) == 1, key
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, key
 
 
 def test_flag_values_must_be_positive(capsys, monkeypatch):

@@ -1,9 +1,14 @@
 """Finite cyclic-group model: covariance, smearing, channels, norm sweeps."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from phaseopt import groupsim
 from phaseopt.groupsim import (
+    MAX_SWEEP_ORDER,
     CyclicRep,
     FiniteCovariantObservable,
     FiniteMeasure,
@@ -332,3 +337,108 @@ def test_pre_norm_rejects_wrong_pullback():
     chan = depolarizing_channel(4)
     with pytest.raises(ValueError):
         pre_norm_check(obs, obs, chan)
+
+
+# --- batched subset sweeps ----------------------------------------------------------
+
+
+def loop_convexity_check(e1, e2, alpha, tol=1e-9):
+    """Reference: one norm call per subset, in itertools.combinations order."""
+    mixed = mix(e1, e2, alpha)
+    n = e1.rep.order
+    worst_slack = math.inf
+    saturated = 0
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            nm, n1, n2 = mixed.norm(subset), e1.norm(subset), e2.norm(subset)
+            bound = alpha * n1 + (1 - alpha) * n2
+            if nm > bound + tol:
+                raise ValueError(f"convexity violated on {subset}: {nm} > {bound}")
+            worst_slack = min(worst_slack, bound - nm)
+            if nm >= 1.0 - tol:
+                saturated += 1
+                if n1 < 1.0 - tol or n2 < 1.0 - tol:
+                    raise ValueError(f"norm saturation on {subset} not inherited: {n1}, {n2}")
+    return {"subsets": 2 ** n - 1, "saturated": saturated, "worst_slack": worst_slack}
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_subset_norms_match_norm_bit_for_bit():
+    # block edges: one block below, at and one above its size, then several blocks
+    rng = np.random.default_rng(53)
+    block = groupsim._BLOCK_BITS
+    for n in (1, 2, 8, block, block + 1, 12):
+        for d in range(1, 6):
+            obs = random_observable(rng, n, d)
+            got = obs.subset_norms()
+            assert got.shape == (2 ** n,) and got[0] == 0.0
+            for size in range(1, n + 1):
+                for subset in itertools.combinations(range(n), size):
+                    mask = sum(1 << x for x in subset)
+                    want = np.float64(obs.norm(subset))
+                    assert got[mask].view(np.uint64) == want.view(np.uint64), (n, d, subset)
+
+
+def test_subset_norms_are_cached_and_reused(monkeypatch):
+    rng = np.random.default_rng(59)
+    obs = random_observable(rng, 9, 3)
+    other = make_covariant(obs.rep, random_observable(rng, 9, 3).seed)
+    first = obs.subset_norms()
+    assert obs.subset_norms() is first
+    assert not first.flags.writeable
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+    # obs is swept already: only the mixture and the other side are stacked
+    convexity_check(obs, other, 0.4)
+    pre_norm_check(obs, obs, kraus_to_superop([np.eye(3)]))
+    assert obs.subset_norms() is first
+    assert [shape for shape in calls if len(shape) == 3] == [(2 ** 9, 3, 3)] * 2
+
+
+def test_sweeps_agree_with_the_per_subset_loop():
+    rng = np.random.default_rng(61)
+    rep = CyclicRep(11, (0, 2, 3, 7))
+    e1 = make_covariant(rep, random_observable(rng, 11, 4).seed)
+    e2 = make_covariant(rep, random_observable(rng, 11, 4).seed)
+    canon = finite_canonical(7)
+    # passing sweeps report the same numbers; failing ones name the same first
+    # subset (a negative tol fails on slack, a large one on saturation)
+    for args in ((e1, e2, 0.35), (canon, canon, 0.5), (e1, e2, 0.35, -0.02), (e1, e2, 0.35, 0.6)):
+        assert outcome(convexity_check, *args) == outcome(loop_convexity_check, *args), args
+    assert "violated on (0, 2, 7)" in outcome(convexity_check, e1, e2, 0.35, -0.02)
+    assert "saturation on (0, 1, 6)" in outcome(convexity_check, e1, e2, 0.35, 0.6)
+
+
+def test_pre_norm_names_the_first_subset_in_sweep_order():
+    # no channel can make a norm grow, so plant growth in the cached sweep of
+    # pre_obs: mask order would name (1, 2) first, the (size, lex) sweep names
+    # (0, 5) and then (3,)
+    obs = finite_canonical(6)
+    pre = FiniteCovariantObservable(obs.rep, obs.seed)
+    chan = kraus_to_superop([np.eye(6)])
+    for planted, first in ((((1, 2), (0, 5)), (0, 5)), (((1, 2), (0, 5), (3,)), (3,))):
+        norms = obs.subset_norms().copy()
+        for subset in planted:
+            norms[sum(1 << x for x in subset)] += 1e-6
+        pre._subset_norms = norms
+        with pytest.raises(ValueError) as info:
+            pre_norm_check(obs, pre, chan)
+        assert str(info.value) == f"norm grew under preprocessing on {first}"
+
+
+def test_sweeps_refuse_group_orders_above_the_limit():
+    n = MAX_SWEEP_ORDER + 1
+    obs = make_covariant(CyclicRep(n, (0,)), np.ones((1, 1)))
+    reason = f"group order N = {n} is above the subset-sweep limit {MAX_SWEEP_ORDER}"
+    with pytest.raises(ValueError, match=reason):
+        convexity_check(obs, obs, 0.5)
+    with pytest.raises(ValueError, match=reason):
+        pre_norm_check(obs, obs, kraus_to_superop([np.eye(1)]))
+    assert obs._subset_norms is None

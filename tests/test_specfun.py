@@ -346,6 +346,12 @@ def test_c_fock_known_values():
     assert c_fock_0_2k(3, 2) == 0.0
 
 
+def test_kernels_reject_negative_s():
+    for kernel, args in ((c_fock_0_2k, (-1, 1)), (c_state_matrix, (-1, 3))):
+        with pytest.raises(ValueError, match="s must be nonnegative"):
+            kernel(*args)
+
+
 def test_c_fock_cross_checks_integral_route():
     for s in range(13):
         for k in range(1, 13):
