@@ -26,6 +26,25 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _is_float_rows(obj) -> bool:
+    """True for a list of equal-length lists holding only Python floats."""
+    if set(map(type, obj)) != {list} or len(set(map(len, obj))) != 1:
+        return False
+    return set(map(type, chain.from_iterable(obj))) == {float}
+
+
+def _float_rows_text(rows) -> str:
+    """The text :func:`format_float` would give, in one ``%`` pass over all floats.
+
+    ``%.17g`` writes non-finite values as ``nan``, ``inf`` and ``-inf`` (a
+    negative NaN too prints ``nan``); the text holds only numeric tokens
+    otherwise, so two replacements give ``NaN``, ``Infinity`` and ``-Infinity``.
+    """
+    row = "[" + ", ".join(["%.17g"] * len(rows[0])) + "]"
+    text = ("[" + ", ".join([row] * len(rows)) + "]") % tuple(chain.from_iterable(rows))
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
+
+
 def _encode(obj, parts: list) -> None:
     if obj is None:
         parts.append("null")
@@ -50,6 +69,8 @@ def _encode(obj, parts: list) -> None:
             parts.append(": ")
             _encode(value, parts)
         parts.append("}")
+    elif isinstance(obj, (list, tuple)) and _is_float_rows(obj):
+        parts.append(_float_rows_text(obj))
     elif isinstance(obj, (list, tuple)):
         parts.append("[")
         for i, value in enumerate(obj):

@@ -346,13 +346,30 @@ def _scenario_matrix(raw, dim: int, key: str = "seed") -> np.ndarray:
     return arr
 
 
-def _cmd_groupsim(args, cfg: Config) -> int:
-    scn = _load_json(args.scenario)
-    rep = gs.CyclicRep(int(scn["N"]), tuple(scn["weights"]))
+def _groupsim_inputs(scn: dict) -> tuple:
+    """Scenario, representation, observable, measure and second seed; ValueError if malformed.
+
+    The fields several checks read are refused here, N before any effect is built.
+    """
+    for key in ("N", "weights", "seed"):
+        if key not in scn:
+            raise ValueError(f"missing field {key!r}")
+    n = scn["N"]
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= gs.MAX_SCENARIO_ORDER:
+        raise ValueError(f"N must be an integer in 1..{gs.MAX_SCENARIO_ORDER}, got {n!r}")
+    rep = gs.CyclicRep(n, tuple(scn["weights"]))
     seed = _scenario_matrix(scn["seed"], rep.dim)
     seed2 = _scenario_matrix(scn["seed2"], rep.dim, "seed2") if "seed2" in scn else np.eye(rep.dim)
-    obs = gs.make_covariant(rep, seed)
-    nu = gs.FiniteMeasure(tuple(scn.get("nu", [1.0] + [0.0] * (rep.order - 1))))
+    nu = gs.FiniteMeasure(tuple(scn.get("nu", [1.0] + [0.0] * (n - 1))))
+    if nu.order != n:
+        raise ValueError(f"nu must have N = {n} weights, got {nu.order}")
+    if "subset" in scn:
+        gs.outcome_subset(scn["subset"], n)
+    return scn, rep, gs.make_covariant(rep, seed), nu, seed2
+
+
+def _cmd_groupsim(args, cfg: Config) -> int:
+    scn, rep, obs, nu, seed2 = _load(args.scenario, _groupsim_inputs)
     results = {}
     failed = False
     rng = np.random.default_rng(scn.get("rng_seed", 7))
@@ -403,8 +420,7 @@ def _run_groupsim_check(name, rep, obs, nu, seed2, scn, rng) -> dict:
         _require(worst > 1e-12, "some singleton effect vanishes")
         return {"verdict": "pass", "min_effect_weight": worst}
     if name == "norm-bound":
-        subset = tuple(scn.get("subset", [0]))
-        lhs, rhs = gs.norm_bound_check(obs, nu, subset)
+        lhs, rhs = gs.norm_bound_check(obs, nu, scn.get("subset", [0]))
         return {
             "verdict": "pass",
             "lhs": lhs,

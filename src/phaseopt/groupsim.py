@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "make_covariant",
     "smear_finite",
     "norm_bound_check",
+    "outcome_subset",
     "kraus_to_superop",
     "unitary_channel",
     "depolarizing_channel",
@@ -35,11 +37,16 @@ __all__ = [
     "convexity_check",
     "pre_norm_check",
     "MAX_SWEEP_ORDER",
+    "MAX_SCENARIO_ORDER",
 ]
 
 # Largest group order N whose 2^N - 1 outcome subsets are swept: one cached
 # float per subset is 8 MiB per observable at N = 20.
 MAX_SWEEP_ORDER = 20
+# Largest group order N of a scenario file: the covariance checks make N^2
+# products of dim x dim matrices, 0.75 s each at N = 256 and dim 3 (3.2 s at
+# N = 512) on a 2-core Xeon.
+MAX_SCENARIO_ORDER = 256
 # Subset sums are stacked 2^_BLOCK_BITS at a time for each eigvalsh call.
 _BLOCK_BITS = 9
 
@@ -176,13 +183,16 @@ class FiniteCovariantObservable:
             low = min(n, _BLOCK_BITS)
             sums = np.zeros((1 << low, d, d), dtype=np.complex128)
             for k in range(low):
-                sums[1 << k : 2 << k] = sums[: 1 << k] + self._effects[k]
+                np.add(sums[: 1 << k], self._effects[k], out=sums[1 << k : 2 << k])
             out = np.empty(1 << n)
+            # one reused buffer: above malloc's mmap threshold (128 KiB by
+            # default) each fresh 512 x d x d temporary costs page faults
+            block = np.empty_like(sums)
             for high in range(1 << (n - low)):
-                block = sums
+                np.copyto(block, sums)
                 for k in range(low, n):
                     if high >> (k - low) & 1:
-                        block = block + self._effects[k]
+                        block += self._effects[k]
                 out[high << low : (high + 1) << low] = np.linalg.eigvalsh(block)[:, -1]
             out[0] = 0.0
             out.flags.writeable = False
@@ -219,15 +229,32 @@ def smear_finite(
     return FiniteCovariantObservable(obs.rep, seed)
 
 
+def outcome_subset(subset: Iterable[int], order: int) -> Tuple[int, ...]:
+    """``subset`` as a tuple of distinct outcomes in ``0 .. order - 1``.
+
+    Anything else (a repeat, an outcome out of range, a non-integer) raises
+    ValueError: it would otherwise be read mod N and counted twice.
+    """
+    xs = tuple(subset) if isinstance(subset, Iterable) else (None,)
+    in_range = all(
+        isinstance(x, Integral) and not isinstance(x, bool) and 0 <= x < order for x in xs
+    )
+    if not in_range or len(set(xs)) != len(xs):
+        raise ValueError(f"subset must hold distinct outcomes 0..{order - 1}, got {subset!r}")
+    return xs
+
+
 def norm_bound_check(
     obs: FiniteCovariantObservable, nu: FiniteMeasure, subset: Sequence[int]
 ) -> Tuple[float, float]:
     """Smearing norm bound: returns (|E_nu(X)|, max_g nu(X - g)).
 
     The left side can never exceed the right side; a violation raises
-    ValueError so scenario runs report it as a failed check.
+    ValueError so scenario runs report it as a failed check.  ``subset``
+    must pass :func:`outcome_subset`.
     """
     n = obs.rep.order
+    subset = outcome_subset(subset, n)
     smeared = smear_finite(obs, nu)
     lhs = smeared.norm(subset)
     rhs = max(

@@ -7,6 +7,10 @@ integer arithmetic and only the final irrational prefactors (square roots
 of factorial ratios, sqrt(pi)) are applied in floating point, so entries
 that are mathematically zero come out as exact 0.0 and diagonal entries
 come out as 1 to machine precision even at large indices.
+
+scipy is needed only by :func:`displacement_element` (its Laguerre
+evaluator) and is imported there on first use, so importing this module,
+or the package, loads numpy and no scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 __all__ = [
     "RationalPolynomial",
@@ -351,11 +354,21 @@ def c_fock_0_2k(s: int, k: int) -> float:
     return _entry_float(math.perm(k - 1, s), _fact(k) ** 2, den, False, -1 if s % 2 else 1)
 
 
+@lru_cache(maxsize=None)
+def _eval_genlaguerre():
+    """scipy's generalized Laguerre ufunc, imported on first use."""
+    from scipy.special import eval_genlaguerre
+
+    return eval_genlaguerre
+
+
 def displacement_element(m: int, n: int, z: complex) -> complex:
     """Matrix element ``<m|D(z)|n>`` of the phase-space shift operator.
 
     Uses the closed Laguerre form for ``m >= n`` and the symmetry
-    ``<m|D(z)|n> = conj(<n|D(-z)|m>)`` otherwise.
+    ``<m|D(z)|n> = conj(<n|D(-z)|m>)`` otherwise.  The Laguerre value comes
+    from scipy, imported on the first call rather than with the module:
+    only the quadrature oracle calls this function.
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
@@ -369,5 +382,5 @@ def displacement_element(m: int, n: int, z: complex) -> complex:
     log_amp = 0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1)) + 0.5 * alpha * math.log(r2) - 0.5 * r2
     phase = complex(math.cos(alpha * math.atan2(z.imag, z.real)),
                     math.sin(alpha * math.atan2(z.imag, z.real)))
-    lag = float(eval_genlaguerre(n, alpha, r2))
+    lag = float(_eval_genlaguerre()(n, alpha, r2))
     return math.exp(log_amp) * phase * lag

@@ -4,6 +4,9 @@ import ast
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -441,6 +444,52 @@ def test_groupsim_checks_decide_without_assert(tmp_path, capsys, monkeypatch):
     assert report["reason"].startswith("convexity violated on (0,): ")
 
 
+def import_time_nodes(node):
+    """Nodes run when the module is imported: all but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from import_time_nodes(child)
+
+
+def is_scipy_import(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.partition(".")[0] == "scipy" for alias in node.names)
+    return (
+        isinstance(node, ast.ImportFrom)
+        and node.level == 0
+        and node.module.partition(".")[0] == "scipy"
+    )
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported by displacement_element on first use, never with a module
+    for path in Path(phaseopt.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        lines = [node.lineno for node in import_time_nodes(tree) if is_scipy_import(node)]
+        assert lines == [], (path.name, lines)
+    script = (
+        "import phaseopt, phaseopt.cli, sys\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "sys.stderr.write(repr(loaded))\n"
+        "sys.exit(phaseopt.cli.main(sys.argv[1:]))\n"
+    )
+    src = str(Path(phaseopt.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["oracle-et", "--levels", "1.0@0", "--dim", "12", "--arc", "half", "--assert"]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (0, "[]")
+    # the deviation comes out of LAPACK (Gauss-Legendre nodes) and BLAS, so its
+    # digits may differ between builds: only its size is pinned, every other byte is
+    assert json.loads(proc.stdout)["max_entry_deviation"] < 1e-13
+    assert proc.stdout.startswith('{"verdict": "pass", "max_entry_deviation": ')
+    assert proc.stdout.endswith(
+        ', "dim": 12, "r_max": 10, "quad_points": 160, "tolerances": {"tol": 9.9999999999999995e-07}}\n'
+    )
+
+
 def test_groupsim_refuses_sweeps_above_the_order_limit(tmp_path, capsys):
     n = gs.MAX_SWEEP_ORDER + 1
     path = tmp_path / "scenario.json"
@@ -459,6 +508,19 @@ def test_groupsim_refuses_sweeps_above_the_order_limit(tmp_path, capsys):
     )
     for name in ("mix-inequality", "pre-norm-depolarizing"):
         assert checks[name] == {"verdict": "fail", "reason": reason}
+
+
+def test_groupsim_refuses_scenarios_above_the_order_limit(tmp_path, capsys, monkeypatch):
+    def no_effects(*args):
+        raise AssertionError("effects built for a refused scenario")
+
+    monkeypatch.setattr("phaseopt.groupsim.make_covariant", no_effects)
+    path = tmp_path / "scenario.json"
+    for n in (gs.MAX_SCENARIO_ORDER + 1, 10**9, 0, 6.0, True, "6", [6]):
+        path.write_text(json.dumps({"N": n, "weights": [0], "seed": [[1.0]], "checks": ["covariance"]}))
+        assert main(["groupsim", "--scenario", str(path)]) == 1, n
+        message = f"N must be an integer in 1..{gs.MAX_SCENARIO_ORDER}, got {n!r}"
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n"), n
 
 
 # --- determinism ---------------------------------------------------------------------
@@ -530,6 +592,23 @@ def test_malformed_input_is_diagnosed(tmp_path, capsys, monkeypatch):
         assert main(["groupsim", "--scenario", str(path), "--assert"]) == 1, key
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err, key
+    # read mod N, [0, 6, 12] would count outcome 0 three times (rhs 1.5)
+    for key, value, message in (
+        ("subset", [0, 6, 12], "subset must hold distinct outcomes 0..5, got [0, 6, 12]"),
+        ("subset", [1, 1], "subset must hold distinct outcomes 0..5, got [1, 1]"),
+        ("subset", [0.5], "subset must hold distinct outcomes 0..5, got [0.5]"),
+        ("subset", 3, "subset must hold distinct outcomes 0..5, got 3"),
+        ("nu", [0.5, 0.5], "nu must have N = 6 weights, got 2"),
+    ):
+        path.write_text(json.dumps({**scenario_payload(), key: value}))
+        assert main(["groupsim", "--scenario", str(path), "--assert"]) == 1, (key, value)
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n"), (key, value)
+    for key in ("N", "weights", "seed"):
+        scenario = scenario_payload()
+        del scenario[key]
+        path.write_text(json.dumps(scenario))
+        assert main(["groupsim", "--scenario", str(path)]) == 1, key
+        assert capsys.readouterr() == ("", f"error: {path}: missing field {key!r}\n"), key
 
 
 def test_flag_values_must_be_positive(capsys, monkeypatch):

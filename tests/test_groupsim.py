@@ -170,6 +170,17 @@ def test_norm_bound_strict_for_nondirac_on_singletons():
         assert rhs < 1.0 - 1e-9
 
 
+def test_norm_bound_refuses_repeated_or_foreign_outcomes():
+    obs = finite_canonical(6)
+    nu = FiniteMeasure((0.5, 0.5, 0, 0, 0, 0))
+    # mod 6 these are {0} counted three times, and {5}
+    for subset in ([0, 6, 12], [0, 0], [-1], [6], [True], [1.0], 3, [[0]]):
+        with pytest.raises(ValueError, match="distinct outcomes 0..5"):
+            norm_bound_check(obs, nu, subset)
+    assert groupsim.outcome_subset(np.arange(6)[::-1], 6) == (5, 4, 3, 2, 1, 0)
+    assert norm_bound_check(obs, nu, []) == (0.0, 0)
+
+
 # --- channels -------------------------------------------------------------------
 
 
