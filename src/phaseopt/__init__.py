@@ -28,7 +28,6 @@ from .optimal import (
     post_equiv_class,
     preclean_check,
     preprocess,
-    random_channel_spec,
     real_nonextremal_shortcut,
     recover_state,
     smear,
@@ -50,16 +49,6 @@ from .phase_matrix import (
     u_equivalent,
     validate,
 )
-from .specfun import (
-    RationalPolynomial,
-    c_fock_0_2k,
-    c_state,
-    c_state_matrix,
-    displacement_element,
-    f_sn,
-    gamma_moment,
-    laguerre,
-    laguerre_moment,
-)
+from .specfun import c_fock_0_2k, c_state, c_state_matrix, displacement_element
 
 __version__ = "0.1.0"

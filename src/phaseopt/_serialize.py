@@ -1,4 +1,4 @@
-"""Deterministic JSON and CSV emission, and the matrix JSON codec.
+"""Deterministic JSON and CSV emission, the matrix JSON codec and JSON number checks.
 
 The stock json module formats floats with shortest-round-trip repr, which
 is stable but version-sensitive; reports here are meant to be compared
@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from itertools import chain
 from numbers import Integral, Real
 
 import numpy as np
 
 __all__ = ["dumps", "format_float", "density_csv", "sweep_csv"]
+
+_SWEEP_HEADER = "dim,norm"
 
 
 def format_float(x: float) -> str:
@@ -95,11 +98,21 @@ def density_csv(thetas, values) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_csv(rows, header=("dim", "norm")) -> str:
-    lines = [",".join(header)]
+def sweep_csv(rows) -> str:
+    lines = [_SWEEP_HEADER]
     for dim, norm in rows:
         lines.append(f"{dim},{norm:.17g}")
     return "\n".join(lines) + "\n"
+
+
+def is_int(x) -> bool:
+    """A JSON integer: an ``Integral`` that is not a bool."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def is_finite_real(x) -> bool:
+    """A finite JSON number: a ``Real``, not a bool, within the float range (so not NaN)."""
+    return isinstance(x, Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def matrix_to_dict(a: np.ndarray) -> dict:
@@ -136,7 +149,7 @@ def matrix_from_dict(data: dict) -> np.ndarray:
         if key not in data:
             raise ValueError(f"missing field {key!r}")
     dim = data["dim"]
-    if not isinstance(dim, Integral) or isinstance(dim, bool) or dim < 1:
+    if not is_int(dim) or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
     entries = complex_from_pairs(data["entries"], "entries")
     if entries.size != dim * dim:

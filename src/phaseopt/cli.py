@@ -17,7 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from . import groupsim as gs
-from ._serialize import complex_from_pairs, density_csv, dumps, matrix_from_dict, sweep_csv
+from ._serialize import (
+    complex_from_pairs,
+    density_csv,
+    dumps,
+    is_finite_real,
+    is_int,
+    matrix_from_dict,
+    sweep_csv,
+)
 from .config import Config, load_config
 from .measure import (
     Arc,
@@ -346,17 +354,37 @@ def _scenario_matrix(raw, dim: int, key: str = "seed") -> np.ndarray:
     return arr
 
 
+_GROUPSIM_CHECKS = (
+    "covariance", "smear-covariance", "additivity", "faithful", "norm-bound",
+    "mix-inequality", "covariantize", "pre-norm-unitary", "pre-norm-depolarizing",
+)
+
+
 def _groupsim_inputs(scn: dict) -> tuple:
     """Scenario, representation, observable, measure and second seed; ValueError if malformed.
 
-    The fields several checks read are refused here, N before any effect is built.
+    Every scenario field is refused here, N before any effect is built.
     """
     for key in ("N", "weights", "seed"):
         if key not in scn:
             raise ValueError(f"missing field {key!r}")
     n = scn["N"]
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= gs.MAX_SCENARIO_ORDER:
+    if not is_int(n) or not 1 <= n <= gs.MAX_SCENARIO_ORDER:
         raise ValueError(f"N must be an integer in 1..{gs.MAX_SCENARIO_ORDER}, got {n!r}")
+    scn = {"checks": [], "alpha": 0.5, "rng_seed": 7, **scn}
+    for key, ok, what in (
+        ("weights", is_int, "integers"),
+        ("nu", is_finite_real, "finite numbers"),
+        ("checks", _GROUPSIM_CHECKS.__contains__, f"check names ({', '.join(_GROUPSIM_CHECKS)})"),
+    ):
+        value = scn.get(key, [])
+        if not isinstance(value, list) or not all(map(ok, value)):
+            raise ValueError(f"{key} must be a list of {what}, got {value!r}")
+    alpha, rng_seed = scn["alpha"], scn["rng_seed"]
+    if not is_finite_real(alpha) or not 0 <= alpha <= 1:
+        raise ValueError(f"alpha must be a number in [0, 1], got {alpha!r}")
+    if not is_int(rng_seed) or rng_seed < 0:
+        raise ValueError(f"rng_seed must be a non-negative integer, got {rng_seed!r}")
     rep = gs.CyclicRep(n, tuple(scn["weights"]))
     seed = _scenario_matrix(scn["seed"], rep.dim)
     seed2 = _scenario_matrix(scn["seed2"], rep.dim, "seed2") if "seed2" in scn else np.eye(rep.dim)
@@ -372,8 +400,8 @@ def _cmd_groupsim(args, cfg: Config) -> int:
     scn, rep, obs, nu, seed2 = _load(args.scenario, _groupsim_inputs)
     results = {}
     failed = False
-    rng = np.random.default_rng(scn.get("rng_seed", 7))
-    for name in scn.get("checks", []):
+    rng = np.random.default_rng(scn["rng_seed"])
+    for name in scn["checks"]:
         try:
             results[name] = _run_groupsim_check(name, rep, obs, nu, seed2, scn, rng)
         except ValueError as exc:
@@ -430,7 +458,7 @@ def _run_groupsim_check(name, rep, obs, nu, seed2, scn, rng) -> dict:
         }
     if name == "mix-inequality":
         other = gs.make_covariant(rep, seed2)
-        report = gs.convexity_check(obs, other, float(scn.get("alpha", 0.5)))
+        report = gs.convexity_check(obs, other, float(scn["alpha"]))
         return {"verdict": "pass", **report}
     if name == "covariantize":
         chan = gs.random_channel(rep.dim, rng)

@@ -49,6 +49,9 @@ MAX_SWEEP_ORDER = 20
 MAX_SCENARIO_ORDER = 256
 # Subset sums are stacked 2^_BLOCK_BITS at a time for each eigvalsh call.
 _BLOCK_BITS = 9
+# entrywise slack of an observable's seed and effects (Hermitian, PSD,
+# resolution of the identity, pullback through a channel) and of norm growth
+_EPS_EFFECT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -130,17 +133,17 @@ class FiniteCovariantObservable:
 
     __slots__ = ("rep", "seed", "_effects", "_subset_norms")
 
-    def __init__(self, rep: CyclicRep, seed: np.ndarray, *, tol: float = 1e-10):
+    def __init__(self, rep: CyclicRep, seed: np.ndarray):
         seed = _finite_seed(seed)
         if seed.shape != (rep.dim, rep.dim):
             raise ValueError("seed shape does not match the representation")
-        if np.abs(seed - seed.conj().T).max() > 1e-10:
+        if np.abs(seed - seed.conj().T).max() > _EPS_EFFECT:
             raise ValueError("seed must be Hermitian")
-        if np.linalg.eigvalsh(seed)[0] < -1e-10:
+        if np.linalg.eigvalsh(seed)[0] < -_EPS_EFFECT:
             raise ValueError("seed must be positive semidefinite")
         effects = [rep.unitary(x) @ seed @ rep.unitary(x).conj().T for x in range(rep.order)]
         total = sum(effects)
-        if np.abs(total - np.eye(rep.dim)).max() > tol:
+        if np.abs(total - np.eye(rep.dim)).max() > _EPS_EFFECT:
             raise ValueError("effects do not resolve the identity")
         self.rep = rep
         self.seed = seed
@@ -291,12 +294,11 @@ def depolarizing_channel(dim: int, p: float = 1.0) -> np.ndarray:
     return (1.0 - p) * ident + p * full
 
 
-def random_channel(dim: int, rng, kraus_count: int = None) -> np.ndarray:
-    """Haar-ish random channel from a random Stinespring isometry."""
-    k = kraus_count or dim
-    g = rng.normal(size=(k * dim, dim)) + 1j * rng.normal(size=(k * dim, dim))
+def random_channel(dim: int, rng) -> np.ndarray:
+    """Haar-ish random channel from a random Stinespring isometry (dim Kraus operators)."""
+    g = rng.normal(size=(dim * dim, dim)) + 1j * rng.normal(size=(dim * dim, dim))
     q, _ = np.linalg.qr(g)
-    kraus = [q[i * dim : (i + 1) * dim, :] for i in range(k)]
+    kraus = [q[i * dim : (i + 1) * dim, :] for i in range(dim)]
     return kraus_to_superop(kraus)
 
 
@@ -414,7 +416,6 @@ def pre_norm_check(
     obs: FiniteCovariantObservable,
     pre_obs: FiniteCovariantObservable,
     superop: np.ndarray,
-    tol: float = 1e-10,
 ) -> dict:
     """Preprocessing can only shrink effect norms; verified exhaustively.
 
@@ -427,12 +428,12 @@ def pre_norm_check(
     adj = adjoint_channel_matrix(superop)
     for x in range(n):
         mapped = apply_channel(adj, obs.effect(x))
-        if np.abs(mapped - pre_obs.effect(x)).max() > tol:
+        if np.abs(mapped - pre_obs.effect(x)).max() > _EPS_EFFECT:
             raise ValueError(
                 f"pre_obs is not the pullback of obs through the channel at x={x}"
             )
     nf, ne = pre_obs.subset_norms()[1:], obs.subset_norms()[1:]
-    grew = nf > ne + tol
+    grew = nf > ne + _EPS_EFFECT
     if grew.any():
         _, subset = _first_in_sweep_order(grew)
         raise ValueError(f"norm grew under preprocessing on {subset}")

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .measure import TWO_PI, DiagonalState
-from ._serialize import complex_from_pairs
+from ._serialize import complex_from_pairs, is_finite_real
 from .phase_matrix import EPS_EQUIV, EtaSystem, PhaseMatrix, _toeplitz, gram_factor
 from .specfun import c_fock_0_2k
 
@@ -37,7 +37,6 @@ __all__ = [
     "CovariantChannelSpec",
     "identity_channel_spec",
     "tail_recovery_spec",
-    "random_channel_spec",
     "preprocess",
     "preclean_check",
 ]
@@ -48,6 +47,12 @@ DEFAULT_SHARP_KMAX = 3
 # (deviation ~ k^2 (2s+1) / (8m); worst case in the suite is ~0.09)
 DEFAULT_SHARP_TOL = 0.2
 DEFAULT_TAIL_TOL = 1e-6
+# relative singular-value cutoff for the projector span of extremal_check
+_EPS_SPAN = 1e-8
+# largest trace of the real-entries witness against a projector
+_EPS_WITNESS = 1e-10
+# slack in the recovered weights and total mass of recover_state
+_RECOVERY_TOL = 1e-6
 
 
 def _atoms_fourier(atoms, k: int) -> complex:
@@ -74,17 +79,18 @@ class CircleMeasure:
     density_coeffs: Tuple[complex, ...] = ()
 
     def __post_init__(self):
+        # every test is written so that a NaN fails it
         atoms = []
         for pos, w in self.atoms:
             pos = complex(pos)
-            if abs(abs(pos) - 1.0) > 1e-12:
+            if not abs(abs(pos) - 1.0) <= 1e-12:
                 raise ValueError("atom positions must be unimodular")
-            if w < -1e-14:
-                raise ValueError("atom weights must be nonnegative")
+            if not w >= -1e-14:
+                raise ValueError("atom weights must be nonnegative numbers")
             atoms.append((pos, float(w)))
         coeffs = tuple(complex(c) for c in self.density_coeffs)
         mass = sum(w for _, w in atoms) + (coeffs[0].real if coeffs else 0.0)
-        if abs(mass - 1.0) > 1e-12:
+        if not abs(mass - 1.0) <= 1e-12:
             raise ValueError(f"total mass {mass} is not 1")
         if coeffs:
             if abs(coeffs[0].imag) > 1e-12:
@@ -93,7 +99,7 @@ class CircleMeasure:
             ks = np.arange(len(coeffs))
             vals = (np.exp(1j * np.outer(grid, ks)) @ np.asarray(coeffs)).real
             vals = 2.0 * vals - coeffs[0].real  # add conjugate modes
-            if vals.min() < -1e-10:
+            if not vals.min() >= -1e-10:
                 raise ValueError(f"density dips to {vals.min()} on the grid")
         object.__setattr__(self, "atoms", tuple(atoms))
         object.__setattr__(self, "density_coeffs", coeffs)
@@ -142,9 +148,17 @@ class CircleMeasure:
 
     @staticmethod
     def from_dict(data: dict) -> "CircleMeasure":
+        raw = data.get("atoms", [])
+        if not isinstance(raw, list) or not all(
+            isinstance(a, dict) and all(is_finite_real(a.get(k)) for k in ("angle", "weight"))
+            for a in raw
+        ):
+            raise ValueError(
+                'atoms must be a list of {"angle": x, "weight": w} with finite numbers'
+            )
         atoms = tuple(
             (complex(math.cos(a["angle"]), math.sin(a["angle"])), float(a["weight"]))
-            for a in data.get("atoms", [])
+            for a in raw
         )
         coeffs = tuple(complex_from_pairs(data.get("density_coeffs", []), "density_coeffs"))
         return CircleMeasure(atoms=atoms, density_coeffs=coeffs)
@@ -188,24 +202,22 @@ class SharpnessReport:
 
 
 def approx_sharp_check(
-    matrix: PhaseMatrix,
-    window: Optional[int] = None,
-    k_max: int = DEFAULT_SHARP_KMAX,
-    tol: float = DEFAULT_SHARP_TOL,
+    matrix: PhaseMatrix, tol: float = DEFAULT_SHARP_TOL
 ) -> SharpnessReport:
     """Test consistency with an off-diagonal unimodular limit at truncation.
 
     The candidate u is the phase of the first off-diagonal entry at the
     largest index where it is resolvable; deviations ``|c[m, m+k] - u**k|``
-    are collected over three consecutive windows below the truncation edge
-    and the verdict is "consistent" iff the top-window deviation is below
-    ``tol`` and the per-window maxima do not increase toward the edge.
-    ``window=None`` picks the largest block size (up to 16) for which
-    three blocks fit below the edge.
+    for ``k <= DEFAULT_SHARP_KMAX`` are collected over three consecutive
+    windows below the truncation edge and the verdict is "consistent" iff
+    the top-window deviation is below ``tol`` and the per-window maxima do
+    not increase toward the edge.  The window is the largest block size
+    (up to ``DEFAULT_SHARP_WINDOW``) for which three blocks fit below the
+    edge.
     """
     d = matrix.dim
-    if window is None:
-        window = max(1, min(DEFAULT_SHARP_WINDOW, (d - k_max - 1) // 3))
+    k_max = DEFAULT_SHARP_KMAX
+    window = max(1, min(DEFAULT_SHARP_WINDOW, (d - k_max - 1) // 3))
     if window + k_max >= d:
         raise ValueError("window + k_max must be smaller than the dimension")
     c = matrix.entries
@@ -259,7 +271,7 @@ class ExtremalReport:
         }
 
 
-def extremal_check(eta: EtaSystem, tol: float = 1e-8) -> ExtremalReport:
+def extremal_check(eta: EtaSystem) -> ExtremalReport:
     """Extremal at truncation iff the projectors span the full operator space.
 
     Stacks the flattened projectors ``eta_n eta_n^*`` into a D x r^2
@@ -271,7 +283,7 @@ def extremal_check(eta: EtaSystem, tol: float = 1e-8) -> ExtremalReport:
         return ExtremalReport(True, 1, 1, 1, eta.dim)
     rows = np.array([np.outer(v, v.conj()).reshape(-1) for v in eta.vectors])
     sv = np.linalg.svd(rows, compute_uv=False)
-    span = int((sv > tol * sv[0]).sum())
+    span = int((sv > _EPS_SPAN * sv[0]).sum())
     return ExtremalReport(span == r * r, r, span, r * r, eta.dim)
 
 
@@ -290,9 +302,7 @@ class RealEntriesCertificate:
     operator: np.ndarray = field(repr=False, default=None)
 
 
-def real_nonextremal_shortcut(
-    matrix: PhaseMatrix, tol: float = 1e-10
-) -> Optional[RealEntriesCertificate]:
+def real_nonextremal_shortcut(matrix: PhaseMatrix) -> Optional[RealEntriesCertificate]:
     """Certificate that a real-entried matrix of rank > 1 is not extremal."""
     if np.abs(matrix.entries.imag).max() > 1e-12:
         return None
@@ -311,7 +321,7 @@ def real_nonextremal_shortcut(
         for v in eta.vectors
     ]
     max_res = float(max(residuals))
-    if max_res > tol:
+    if max_res > _EPS_WITNESS:
         return None
     return RealEntriesCertificate(
         pair=(int(m), int(n)), max_residual=max_res, rank=eta.rank, operator=witness
@@ -330,9 +340,7 @@ def recovery_depth(dim: int) -> int:
     return max(0, (dim + 1) // 2 - 2)
 
 
-def recover_state(
-    matrix: PhaseMatrix, depth: Optional[int] = None, tol: float = 1e-6
-) -> DiagonalState:
+def recover_state(matrix: PhaseMatrix, depth: Optional[int] = None) -> DiagonalState:
     """Reconstruct the generating diagonal state from the (0, 2k) entries.
 
     Solves the triangular system
@@ -341,11 +349,12 @@ def recover_state(
     coefficient).  The closed form ``c_fock_0_2k(s, k+1)`` is bitwise equal
     to ``c_state(s, 0, 2(k+1))``.  The dividing coefficients shrink
     super-exponentially, so a floating noise bound is propagated alongside
-    the weights; levels are rejected as negative only beyond both ``tol``
-    and that bound, and values below the bound are read as zero.  Raises
-    :class:`NotStateGeneratedError` on resolvably negative weights, when
-    the total mass leaves [1 - tol, 1 + tol], or when every level reads as
-    zero (the noise bound then exceeds the whole mass).
+    the weights; levels are rejected as negative only beyond both
+    ``_RECOVERY_TOL`` and that bound, and values below the bound are read
+    as zero.  Raises :class:`NotStateGeneratedError` on resolvably negative
+    weights, when the total mass leaves 1 by more than ``_RECOVERY_TOL``
+    plus the noise bound, or when every level reads as zero (the noise
+    bound then exceeds the whole mass).
     """
     d = matrix.dim
     if depth is None:
@@ -357,7 +366,7 @@ def recover_state(
     for k in range(depth + 1):
         col = 2 * (k + 1)
         target = matrix.entries[0, col]
-        if abs(target.imag) > tol:
+        if abs(target.imag) > _RECOVERY_TOL:
             raise NotStateGeneratedError(f"entry (0, {col}) is not real")
         coeffs = [c_fock_0_2k(s, k + 1) for s in range(k + 1)]
         acc = target.real - sum(lam[s] * coeffs[s] for s in range(k))
@@ -367,7 +376,7 @@ def recover_state(
         denom = coeffs[k]
         val = acc / denom
         err = noise / abs(denom)
-        if val < -max(tol, 10.0 * err):
+        if val < -max(_RECOVERY_TOL, 10.0 * err):
             raise NotStateGeneratedError(
                 f"recovered weight {val} at level {k} is negative"
             )
@@ -375,12 +384,12 @@ def recover_state(
             val = 0.0
         lam.append(val)
         errs.append(err)
-        if sum(lam) > 1.0 + tol + sum(errs):
+        if sum(lam) > 1.0 + _RECOVERY_TOL + sum(errs):
             raise NotStateGeneratedError(
                 f"recovered mass {sum(lam)} exceeds 1 at level {k}"
             )
     total = sum(lam)
-    slack = tol + sum(errs)
+    slack = _RECOVERY_TOL + sum(errs)
     if total < 1.0 - slack:
         raise NotStateGeneratedError(
             f"recovered mass {total} falls short of 1 at depth {depth}"
@@ -398,10 +407,7 @@ class CriterionInapplicableError(ValueError):
 
 
 def post_equiv_class(
-    m1: PhaseMatrix,
-    m2: PhaseMatrix,
-    tol: float = EPS_EQUIV,
-    sharp_kwargs: Optional[dict] = None,
+    m1: PhaseMatrix, m2: PhaseMatrix, tol: float = EPS_EQUIV
 ) -> Optional[complex]:
     """Circle point x with ``c2 = c1 * x**(n-m)``, if the matrices admit one.
 
@@ -412,9 +418,8 @@ def post_equiv_class(
     """
     if m1.dim != m2.dim:
         raise ValueError("dimension mismatch")
-    kwargs = sharp_kwargs or {}
     for which, m in (("first", m1), ("second", m2)):
-        if not approx_sharp_check(m, **kwargs).consistent:
+        if not approx_sharp_check(m).consistent:
             raise CriterionInapplicableError(
                 f"{which} input fails the approximate-sharpness precheck"
             )
@@ -490,17 +495,15 @@ class CovariantChannelSpec:
         return self.phi.shape[0]
 
 
-def identity_channel_spec(dim: int, aux_dim: int = 1) -> CovariantChannelSpec:
+def identity_channel_spec(dim: int) -> CovariantChannelSpec:
     """The spec phi[q, n] = delta_{q n} e0, i.e. no preprocessing at all."""
-    phi = np.zeros((dim, dim, aux_dim), dtype=np.complex128)
+    phi = np.zeros((dim, dim, 1), dtype=np.complex128)
     for q in range(dim):
         phi[q, q, 0] = 1.0
     return CovariantChannelSpec(phi)
 
 
-def tail_recovery_spec(
-    dim: int, n0: int, lambdas, aux_dim: int = 1
-) -> CovariantChannelSpec:
+def tail_recovery_spec(dim: int, n0: int, lambdas) -> CovariantChannelSpec:
     """Channel spec concentrating on the unimodular tail at offset n0.
 
     ``lambdas`` are the unimodular tail phases indexed from 0 to D-1
@@ -508,7 +511,7 @@ def tail_recovery_spec(
     conj(lambda_{q + n0}) * lambda_{n0} * e0.
     """
     lam = np.asarray(lambdas, dtype=np.complex128)
-    phi = np.zeros((dim, dim, aux_dim), dtype=np.complex128)
+    phi = np.zeros((dim, dim, 1), dtype=np.complex128)
     for q in range(dim):
         n = q + n0
         if n < dim:
@@ -516,12 +519,6 @@ def tail_recovery_spec(
         else:
             phi[q, q, 0] = 1.0  # keep normalization at the truncation edge
     return CovariantChannelSpec(phi)
-
-
-def random_channel_spec(dim: int, rng, aux_dim: int = 2) -> CovariantChannelSpec:
-    phi = rng.normal(size=(dim, dim, aux_dim)) + 1j * rng.normal(size=(dim, dim, aux_dim))
-    norms = np.sqrt((np.abs(phi) ** 2).sum(axis=(1, 2)))
-    return CovariantChannelSpec(phi / norms[:, None, None])
 
 
 def preprocess(matrix: PhaseMatrix, spec: CovariantChannelSpec) -> PhaseMatrix:

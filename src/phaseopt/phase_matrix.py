@@ -219,9 +219,6 @@ class EtaSystem:
     def dim(self) -> int:
         return self.vectors.shape[0]
 
-    def gram(self) -> np.ndarray:
-        return self.vectors.conj() @ self.vectors.T
-
 
 def canonical(dim: int) -> PhaseMatrix:
     """All-ones phase matrix (the canonical phase observable)."""
@@ -247,21 +244,21 @@ def chessboard(xi: complex, dim: int) -> PhaseMatrix:
     return PhaseMatrix(c)
 
 
-def state_generated(weights, dim: int, s_max: int = LEVEL_CUTOFF) -> PhaseMatrix:
+def state_generated(weights, dim: int) -> PhaseMatrix:
     """Phase matrix of the observable generated by a diagonal state.
 
     ``weights`` is the probability vector over number states (anything
-    :class:`numpy` can coerce; trailing zeros allowed).  Support beyond
-    ``s_max`` raises :class:`TruncationError` rather than truncating
-    silently.
+    :class:`numpy` can coerce; trailing zeros allowed).  Support at or
+    beyond ``LEVEL_CUTOFF`` raises :class:`TruncationError` rather than
+    truncating silently.
     """
     lam = np.asarray(getattr(weights, "weights", weights), dtype=float).ravel()
     if lam.size == 0 or lam.min() < -1e-12 or abs(lam.sum() - 1.0) > 1e-12:
         raise ValueError("weights must be a probability vector")
     support = np.nonzero(lam > 0)[0]
-    if support.size and support[-1] >= s_max:
+    if support.size and support[-1] >= LEVEL_CUTOFF:
         raise TruncationError(
-            f"state support reaches level {support[-1]}, above the cutoff {s_max}"
+            f"state support reaches level {support[-1]}, above the cutoff {LEVEL_CUTOFF}"
         )
     c = np.zeros((dim, dim))
     for s in support:
@@ -269,13 +266,13 @@ def state_generated(weights, dim: int, s_max: int = LEVEL_CUTOFF) -> PhaseMatrix
     return PhaseMatrix(c)
 
 
-def from_eta(vectors, eps_gram: float = EPS_GRAM) -> PhaseMatrix:
+def from_eta(vectors) -> PhaseMatrix:
     """Gram matrix of a family of unit vectors (PSD by construction)."""
     v = np.asarray(vectors, dtype=np.complex128)
     if v.ndim != 2:
         raise ValueError("expected a (D, r) array of row vectors")
     norms = np.linalg.norm(v, axis=1)
-    bad = np.abs(norms - 1.0) > eps_gram
+    bad = np.abs(norms - 1.0) > EPS_GRAM
     if bad.any():
         raise ValueError(f"vector {int(bad.argmax())} is not unit norm")
     return PhaseMatrix(v.conj() @ v.T)

@@ -1,10 +1,11 @@
-"""Associated Laguerre polynomials, Gamma moments and phase-matrix entries.
+"""Phase-matrix entries of number-state-generated observables.
 
 Everything downstream (state-generated phase matrices, the diagonal-state
 recovery, the sharpness sweeps) rests on the exponential-weight overlap
-integrals evaluated here.  The inner alternating sums are done in exact
-integer arithmetic and only the final irrational prefactors (square roots
-of factorial ratios, sqrt(pi)) are applied in floating point, so entries
+integrals of products of associated Laguerre polynomials evaluated here.
+The Laguerre coefficients and the inner alternating sums are exact
+integers and only the final irrational prefactors (square roots of
+factorial ratios, sqrt(pi)) are applied in floating point, so entries
 that are mathematically zero come out as exact 0.0 and diagonal entries
 come out as 1 to machine precision even at large indices.
 
@@ -16,26 +17,17 @@ or the package, loads numpy and no scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "RationalPolynomial",
-    "laguerre",
-    "gamma_moment",
-    "laguerre_moment",
-    "f_sn",
     "c_state",
     "c_state_matrix",
     "c_fock_0_2k",
     "displacement_element",
 ]
 
-# factorials above this are converted to floats through lgamma
-_LOG_SPACE_CUTOFF = 150
 _SQRT_PI = math.sqrt(math.pi)
 
 
@@ -54,142 +46,6 @@ def _ratio_sqrt(num: int, den: int) -> float:
     else:
         q = num // (den << -shift)
     return math.sqrt(math.ldexp(float(q), -shift))
-
-
-@dataclass(frozen=True)
-class RationalPolynomial:
-    """Dense polynomial in one variable; coefficients indexed by power.
-
-    Coefficients are exact `Fraction`s when produced by :func:`laguerre`
-    and become floats once an irrational scale is folded in.  Arithmetic
-    never drops terms; trailing zeros are trimmed so that ``degree`` is
-    the index of the last nonzero coefficient.
-    """
-
-    coefficients: tuple
-
-    @staticmethod
-    def from_coefficients(coeffs) -> "RationalPolynomial":
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return RationalPolynomial(tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        n = max(len(self.coefficients), len(other.coefficients))
-        out = [0] * n
-        for i, c in enumerate(self.coefficients):
-            out[i] = out[i] + c
-        for i, c in enumerate(other.coefficients):
-            out[i] = out[i] + c
-        return RationalPolynomial.from_coefficients(out)
-
-    def __mul__(self, other):
-        if isinstance(other, RationalPolynomial):
-            out = [0] * (len(self.coefficients) + len(other.coefficients) - 1 or 1)
-            for i, a in enumerate(self.coefficients):
-                for j, b in enumerate(other.coefficients):
-                    out[i + j] += a * b
-            return RationalPolynomial.from_coefficients(out)
-        return RationalPolynomial.from_coefficients(c * other for c in self.coefficients)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + float(c)
-        return acc
-
-
-def laguerre(alpha: int, k: int) -> RationalPolynomial:
-    """Associated Laguerre polynomial with exact rational coefficients.
-
-    The coefficient of ``x**l`` is ``(-1)**l * C(k + alpha, k - l) / l!``.
-    """
-    if alpha < 0 or k < 0:
-        raise ValueError("laguerre requires nonnegative integer orders")
-    coeffs = [
-        Fraction((-1) ** l * math.comb(k + alpha, k - l), _fact(l)) for l in range(k + 1)
-    ]
-    return RationalPolynomial.from_coefficients(coeffs)
-
-
-def _as_twice_integer(p: float) -> int:
-    """Return round(2p) after checking 2p is integral (tolerance 1e-9)."""
-    p2 = 2.0 * p
-    r = round(p2)
-    if abs(p2 - r) > 1e-9:
-        raise ValueError(f"argument {p} is neither an integer nor a half-integer")
-    return int(r)
-
-
-def gamma_moment(p) -> float:
-    """Integral of ``x**p * exp(-x)`` over the positive axis, i.e. Gamma(p+1).
-
-    ``p`` must be a nonnegative integer or half-integer.  Values with
-    ``p > 150`` are evaluated in log space.
-    """
-    p2 = _as_twice_integer(p)
-    if p2 < 0:
-        raise ValueError(f"gamma moment undefined for negative power {p}")
-    if p > _LOG_SPACE_CUTOFF:
-        try:
-            return math.exp(math.lgamma(p + 1.0))
-        except OverflowError:
-            return math.inf
-    if p2 % 2 == 0:
-        return float(_fact(p2 // 2))
-    # Gamma(q + 3/2) = (2q+1)!! * sqrt(pi) / 2**(q+1)
-    q = (p2 - 1) // 2
-    dfac = _fact(2 * q + 1) // (_fact(q) << q)
-    return math.sqrt(math.pi) * math.ldexp(float(dfac), -(q + 1))
-
-
-def laguerre_moment(gamma: float, alpha: int, n: int) -> float:
-    """Weighted moment of an associated Laguerre polynomial.
-
-    Evaluates the integral of ``x**(gamma-1) * L^alpha_n(x) * exp(-x)``,
-    equal to ``Gamma(gamma) * poch(1 + alpha - gamma, n) / n!`` where the
-    Pochhammer product replaces the Gamma-ratio so denominator poles give
-    exact zeros instead of overflowing.
-    """
-    if gamma <= 0:
-        raise ValueError(f"moment requires gamma > 0, got {gamma}")
-    if alpha < 0 or n < 0:
-        raise ValueError("alpha and n must be nonnegative integers")
-    x = 1.0 + alpha - gamma
-    if abs(x - round(x)) < 1e-9:
-        x = float(round(x))
-    poch = 1.0
-    for i in range(n):
-        poch *= x + i
-    if poch == 0.0:
-        return 0.0
-    if gamma + 0.5 > _LOG_SPACE_CUTOFF:
-        lg = math.lgamma(gamma) + math.log(abs(poch)) - math.lgamma(n + 1.0)
-        return math.copysign(math.exp(lg), poch)
-    return math.gamma(gamma) * poch / _fact(n)
-
-
-def f_sn(s: int, n: int):
-    """Factorized radial eigenfunction overlap kernel.
-
-    Returns ``(half_power, poly, sign)`` such that the function equals
-    ``sign * x**half_power * poly(x)`` with the square-root factorial
-    scale folded into the polynomial coefficients.
-    """
-    if s < 0 or n < 0:
-        raise ValueError("indices must be nonnegative")
-    lo, hi = min(n, s), max(n, s)
-    sign = -1 if max(0, s - n) % 2 else 1
-    scale = _ratio_sqrt(_fact(lo), _fact(hi))
-    poly = laguerre(hi - lo, lo) * scale
-    return (hi - lo) / 2.0, poly, sign
 
 
 def _laguerre_ints(h: int, k: int) -> list:
@@ -253,7 +109,7 @@ def _entry_float(R: int, factor: int, den: int, odd: bool, sign: int) -> float:
 
 
 def _c_entry(s: int, m: int, n: int) -> float:
-    """Exact-arithmetic core for the overlap integral of f_sn pairs."""
+    """Entry (m, n) built from scratch: the exact-arithmetic core of :func:`c_state`."""
     sign = -1 if (max(0, s - m) + max(0, s - n)) % 2 else 1
     U = _laguerre_ints(max(m, s), min(m, s))
     R = _alt_sum(U, min(n, s), abs(n - s), abs(m - s) + abs(n - s))

@@ -592,6 +592,10 @@ def test_malformed_input_is_diagnosed(tmp_path, capsys, monkeypatch):
         assert main(["groupsim", "--scenario", str(path), "--assert"]) == 1, key
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err, key
+    known = (
+        "check names (covariance, smear-covariance, additivity, faithful, norm-bound, "
+        "mix-inequality, covariantize, pre-norm-unitary, pre-norm-depolarizing)"
+    )
     # read mod N, [0, 6, 12] would count outcome 0 three times (rhs 1.5)
     for key, value, message in (
         ("subset", [0, 6, 12], "subset must hold distinct outcomes 0..5, got [0, 6, 12]"),
@@ -599,6 +603,15 @@ def test_malformed_input_is_diagnosed(tmp_path, capsys, monkeypatch):
         ("subset", [0.5], "subset must hold distinct outcomes 0..5, got [0.5]"),
         ("subset", 3, "subset must hold distinct outcomes 0..5, got 3"),
         ("nu", [0.5, 0.5], "nu must have N = 6 weights, got 2"),
+        ("weights", 5, "weights must be a list of integers, got 5"),
+        ("nu", 3, "nu must be a list of finite numbers, got 3"),
+        ("checks", 7, f"checks must be a list of {known}, got 7"),
+        ("checks", "covariance", f"checks must be a list of {known}, got 'covariance'"),
+        ("checks", ["nope"], f"checks must be a list of {known}, got ['nope']"),
+        ("alpha", "x", "alpha must be a number in [0, 1], got 'x'"),
+        ("alpha", 1.5, "alpha must be a number in [0, 1], got 1.5"),
+        ("rng_seed", "abc", "rng_seed must be a non-negative integer, got 'abc'"),
+        ("rng_seed", -1, "rng_seed must be a non-negative integer, got -1"),
     ):
         path.write_text(json.dumps({**scenario_payload(), key: value}))
         assert main(["groupsim", "--scenario", str(path), "--assert"]) == 1, (key, value)
@@ -609,6 +622,21 @@ def test_malformed_input_is_diagnosed(tmp_path, capsys, monkeypatch):
         path.write_text(json.dumps(scenario))
         assert main(["groupsim", "--scenario", str(path)]) == 1, key
         assert capsys.readouterr() == ("", f"error: {path}: missing field {key!r}\n"), key
+    matrix_path = tmp_path / "matrix.json"
+    matrix_path.write_text(dumps(canonical(4).to_dict()))
+    for atoms in (
+        5,
+        [[0.0, 1.0]],
+        [{"angle": "x", "weight": 1.0}],
+        [{"weight": 1.0}],
+        [{"angle": 0.0, "weight": "1"}],
+        [{"angle": math.nan, "weight": 1.0}],
+        [{"angle": 0.0, "weight": math.nan}],
+    ):
+        path.write_text(json.dumps({"atoms": atoms}))
+        assert main(["smear", "--nu", str(path), "--in", str(matrix_path)]) == 1, atoms
+        message = 'atoms must be a list of {"angle": x, "weight": w} with finite numbers'
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n"), atoms
 
 
 def test_flag_values_must_be_positive(capsys, monkeypatch):

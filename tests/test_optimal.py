@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from phaseopt.measure import Arc, DensityMatrix, density, effect_norm
 from phaseopt.optimal import (
     CircleMeasure,
+    CovariantChannelSpec,
     CriterionInapplicableError,
     NotStateGeneratedError,
     approx_sharp_check,
@@ -19,7 +20,6 @@ from phaseopt.optimal import (
     post_equiv_class,
     preclean_check,
     preprocess,
-    random_channel_spec,
     real_nonextremal_shortcut,
     recover_state,
     smear,
@@ -71,6 +71,15 @@ def test_circle_measure_mass_validation():
         CircleMeasure(atoms=((1.0, 0.5),))
     with pytest.raises(ValueError):
         CircleMeasure(atoms=((0.5 + 0.5j, 1.0),))  # off the circle
+    nan = math.nan
+    for atoms, coeffs in (
+        (((complex(nan, nan), 1.0),), ()),
+        (((1.0, nan),), ()),
+        ((), (complex(nan, 0.0),)),
+        ((), (1.0, complex(nan, 0.0))),
+    ):
+        with pytest.raises(ValueError):  # every NaN test fails, so NaN is refused
+            CircleMeasure(atoms=atoms, density_coeffs=coeffs)
 
 
 def test_circle_measure_rejects_negative_density():
@@ -405,6 +414,12 @@ def test_preprocess_identity_spec_is_identity():
     m = example5(12)
     out = preprocess(m, identity_channel_spec(12))
     assert out.allclose(m, tol=1e-12)
+
+
+def random_channel_spec(dim: int, rng, aux_dim: int = 2) -> CovariantChannelSpec:
+    phi = rng.normal(size=(dim, dim, aux_dim)) + 1j * rng.normal(size=(dim, dim, aux_dim))
+    norms = np.sqrt((np.abs(phi) ** 2).sum(axis=(1, 2)))
+    return CovariantChannelSpec(phi / norms[:, None, None])
 
 
 def test_preprocess_random_spec_yields_valid_matrix():

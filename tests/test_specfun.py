@@ -10,16 +10,7 @@ from scipy import integrate
 from scipy.special import eval_genlaguerre
 
 from phaseopt import specfun
-from phaseopt.specfun import (
-    c_fock_0_2k,
-    c_state,
-    c_state_matrix,
-    displacement_element,
-    f_sn,
-    gamma_moment,
-    laguerre,
-    laguerre_moment,
-)
+from phaseopt.specfun import c_fock_0_2k, c_state, c_state_matrix, displacement_element
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -92,134 +83,97 @@ def oracle_entry(s, m, n):
         return sign * scale * g * mpmath.mpf(total.numerator) / total.denominator
 
 
-# --- laguerre -----------------------------------------------------------------
+# --- Laguerre coefficients, Laguerre and Gamma moments of the kernel -------------
+
+
+def kernel_laguerre(h, k, x):
+    """``L_k^(h-k)(x)`` from the kernel's integer coefficients, divided by k!."""
+    acc = 0.0
+    for c in reversed(specfun._laguerre_ints(h, k)):
+        acc = acc * x + c
+    return acc / math.factorial(k)
+
+
+def kernel_laguerre_moment(gamma, alpha, n):
+    """Integral of ``x**(gamma - 1) L_n^alpha(x) exp(-x)`` by the kernel's moment step.
+
+    Against a constant first factor, ``_alt_sum`` is the Chu-Vandermonde moment
+    ``(1 + alpha - gamma)_n``, scaled by ``2**n`` for half-integer gamma.
+    """
+    sigma = round(2 * gamma) - 2
+    r = specfun._alt_sum([1], n, alpha, sigma)
+    return math.gamma(gamma) * r / (math.factorial(n) << (n if sigma % 2 else 0))
+
+
+def kernel_gamma(sigma):
+    """``Gamma(sigma/2 + 1)`` as the kernel's prefactor carries it for entry (0, sigma) at s=0."""
+    factor, den, odd = specfun._prefactor_ints(0, 0, sigma)
+    # den is sigma! times the half-integer scale; factor is Gamma**2 (over pi when odd)
+    val = math.sqrt(factor * math.factorial(sigma) / den)
+    return SQRT_PI * val if odd else val
 
 
 def test_laguerre_constant():
-    assert laguerre(0, 0).coefficients == (1,)
+    assert specfun._laguerre_ints(0, 0) == [1]
 
 
 def test_laguerre_expansions():
-    p11 = laguerre(1, 1)
-    assert [float(c) for c in p11.coefficients] == [2.0, -1.0]
-    p22 = laguerre(2, 2)
-    assert [float(c) for c in p22.coefficients] == [6.0, -4.0, 0.5]
+    # k! L_k^(h-k): L_1^(1) = 2 - x and L_2^(2) = 6 - 4x + x^2/2
+    assert specfun._laguerre_ints(2, 1) == [2, -1]
+    assert specfun._laguerre_ints(4, 2) == [12, -8, 1]
 
 
 def test_laguerre_matches_scipy_on_a_grid():
     xs = np.linspace(0.0, 12.0, 7)
     for alpha in range(4):
         for k in range(6):
-            ours = laguerre(alpha, k)
             for x in xs:
-                assert ours(x) == pytest.approx(eval_genlaguerre(k, alpha, x), abs=1e-9)
-
-
-def test_polynomial_arithmetic_keeps_all_terms():
-    p = laguerre(1, 2)
-    q = laguerre(0, 1)
-    prod = p * q
-    assert prod.degree == p.degree + q.degree
-    s = p + (-1 * p)
-    assert s.coefficients == ()
-
-
-# --- gamma_moment -------------------------------------------------------------
+                ours = kernel_laguerre(k + alpha, k, x)
+                assert ours == pytest.approx(eval_genlaguerre(k, alpha, x), abs=1e-9)
 
 
 def test_gamma_moment_small_integers():
-    assert gamma_moment(0) == 1.0
-    assert gamma_moment(1) == 1.0
-    assert gamma_moment(4) == 24.0
+    assert kernel_gamma(0) == 1.0
+    assert kernel_gamma(2) == 1.0
+    assert kernel_gamma(8) == 24.0
 
 
 def test_gamma_moment_half_integer():
-    assert gamma_moment(0.5) == pytest.approx(SQRT_PI / 2, abs=1e-15)
-    assert gamma_moment(1.5) == pytest.approx(3 * SQRT_PI / 4, abs=1e-15)
-
-
-def test_gamma_moment_log_space_region():
-    assert gamma_moment(160) == pytest.approx(math.exp(math.lgamma(161.0)), rel=1e-12)
-    assert gamma_moment(160.5) == pytest.approx(math.exp(math.lgamma(161.5)), rel=1e-12)
-    assert gamma_moment(300) == math.inf  # beyond float64 range
-
-
-def test_gamma_moment_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        gamma_moment(-1)
-    with pytest.raises(ValueError):
-        gamma_moment(0.3)
-
-
-# --- laguerre_moment ----------------------------------------------------------
+    assert kernel_gamma(1) == pytest.approx(SQRT_PI / 2, abs=1e-15)
+    assert kernel_gamma(3) == pytest.approx(3 * SQRT_PI / 4, abs=1e-15)
 
 
 def test_laguerre_moment_basics():
-    assert laguerre_moment(1, 0, 0) == pytest.approx(1.0, abs=1e-14)
-    assert laguerre_moment(2, 1, 1) == 0.0
-    assert laguerre_moment(2, 2, 0) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_laguerre_moment_rejects_nonpositive_gamma():
-    with pytest.raises(ValueError):
-        laguerre_moment(0.0, 1, 1)
+    assert kernel_laguerre_moment(1, 0, 0) == pytest.approx(1.0, abs=1e-14)
+    assert kernel_laguerre_moment(2, 1, 1) == 0.0
+    assert kernel_laguerre_moment(2, 2, 0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_laguerre_moment_against_monomial_summation():
-    for gamma in range(1, 11):
+    # exact: moment / Gamma(gamma) = sum_l (-1)^l C(n + alpha, n - l) / l! * (gamma)_l
+    for gamma2 in range(2, 21):
+        gamma = Fraction(gamma2, 2)
         for alpha in range(9):
             for n in range(9):
-                poly = laguerre(alpha, n)
-                terms = [
-                    float(c) * gamma_moment(gamma - 1 + l)
-                    for l, c in enumerate(poly.coefficients)
-                ]
-                explicit = sum(terms)
-                # the float summation cancels; 1e-10 is relative to its scale
-                scale = max(1.0, max(abs(t) for t in terms))
-                assert laguerre_moment(gamma, alpha, n) == pytest.approx(
-                    explicit, abs=1e-10 * scale
+                explicit = sum(
+                    Fraction((-1) ** l * math.comb(n + alpha, n - l), math.factorial(l))
+                    * rising(gamma, l)
+                    for l in range(n + 1)
                 )
+                r = specfun._alt_sum([1], n, alpha, gamma2 - 2)
+                scale = math.factorial(n) << (n if gamma2 % 2 else 0)
+                assert Fraction(r, scale) == explicit, (gamma, alpha, n)
 
 
 def test_laguerre_moment_noninteger_gamma_against_quadrature():
-    for gamma, alpha, n in [(0.5, 0, 2), (2.5, 1, 3), (3.2, 2, 1)]:
+    for gamma, alpha, n in [(1.5, 0, 2), (2.5, 1, 3), (3.5, 2, 1)]:
         val, _ = integrate.quad(
             lambda x: x ** (gamma - 1) * eval_genlaguerre(n, alpha, x) * math.exp(-x),
             0.0,
             60.0,
             limit=200,
         )
-        assert laguerre_moment(gamma, alpha, n) == pytest.approx(val, abs=1e-9)
-
-
-# --- f_sn ---------------------------------------------------------------------
-
-
-def test_f_sn_trivial():
-    half, poly, sign = f_sn(0, 0)
-    assert half == 0.0 and sign == 1
-    assert poly(3.7) == pytest.approx(1.0)
-
-
-def test_f_sn_scaling_folded_into_polynomial():
-    half, poly, sign = f_sn(0, 2)
-    assert half == 1.0 and sign == 1
-    assert poly(0.0) == pytest.approx(1 / math.sqrt(2))
-    half, poly, sign = f_sn(1, 0)
-    assert half == 0.5 and sign == -1
-    assert poly(0.0) == pytest.approx(1.0)
-
-
-def test_f_sn_reproduces_direct_evaluation():
-    xs = np.linspace(0.1, 9.0, 5)
-    for s in range(4):
-        for n in range(6):
-            half, poly, sign = f_sn(s, n)
-            for x in xs:
-                assert sign * x ** half * poly(x) == pytest.approx(
-                    eta_function(s, n, x), abs=1e-10
-                )
+        assert kernel_laguerre_moment(gamma, alpha, n) == pytest.approx(val, abs=1e-9)
 
 
 # --- c_state ------------------------------------------------------------------
