@@ -64,7 +64,12 @@ class CyclicRep:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("group order must be positive")
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        weights = tuple(int(w) for w in self.weights)
+        # unitary() forms w * (g mod N) in int64
+        big = [w for w in weights if abs(w) * max(self.order - 1, 1) >= 2**63]
+        if big:
+            raise ValueError(f"weights must satisfy |w| * max(N - 1, 1) < 2**63, got {big[0]}")
+        object.__setattr__(self, "weights", weights)
 
     @property
     def dim(self) -> int:
@@ -90,9 +95,12 @@ class FiniteMeasure:
 
     def __post_init__(self):
         w = tuple(float(x) for x in self.weights)
-        if min(w) < -1e-14:
-            raise ValueError("measure weights must be nonnegative")
-        if abs(sum(w) - 1.0) > 1e-12:
+        if not w:
+            raise ValueError("a measure needs at least one weight")
+        # every test is written so that a NaN fails it
+        if not all(x >= -1e-14 for x in w):
+            raise ValueError("measure weights must be nonnegative numbers")
+        if not abs(sum(w) - 1.0) <= 1e-12:
             raise ValueError(f"measure weights sum to {sum(w)}")
         object.__setattr__(self, "weights", w)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -335,6 +336,12 @@ class NotStateGeneratedError(ValueError):
 _RECOVERY_ENTRY_EPS = 1e-13
 
 
+@lru_cache(maxsize=512)
+def _fock_row(k: int) -> tuple:
+    """The coefficients ``c_fock_0_2k(s, k + 1)`` for s = 0..k of level k."""
+    return tuple(c_fock_0_2k(s, k + 1) for s in range(k + 1))
+
+
 def recovery_depth(dim: int) -> int:
     """Deepest level whose defining column 2*(depth+1) still fits in dim."""
     return max(0, (dim + 1) // 2 - 2)
@@ -368,7 +375,7 @@ def recover_state(matrix: PhaseMatrix, depth: Optional[int] = None) -> DiagonalS
         target = matrix.entries[0, col]
         if abs(target.imag) > _RECOVERY_TOL:
             raise NotStateGeneratedError(f"entry (0, {col}) is not real")
-        coeffs = [c_fock_0_2k(s, k + 1) for s in range(k + 1)]
+        coeffs = _fock_row(k)
         acc = target.real - sum(lam[s] * coeffs[s] for s in range(k))
         noise = _RECOVERY_ENTRY_EPS + sum(
             errs[s] * abs(coeffs[s]) for s in range(k)
@@ -534,19 +541,20 @@ def preprocess(matrix: PhaseMatrix, spec: CovariantChannelSpec) -> PhaseMatrix:
     d = matrix.dim
     c = matrix.entries
     phi = spec.phi
+    phi_conj = phi.conj()
     out = np.zeros((d, d), dtype=np.complex128)
     for j in range(d):
         diag = np.diagonal(c, offset=j)  # c[n, n + j]
         # overlap[q, n] = <phi[q, n], phi[q + j, n + j]>
         overlaps = np.einsum(
             "qna,qna->qn",
-            phi[: d - j, : d - j].conj(),
+            phi_conj[: d - j, : d - j],
             phi[j:, j:],
         )
         vals = overlaps @ diag
-        for q in range(d - j):
-            out[q, q + j] = vals[q]
-            out[q + j, q] = vals[q].conjugate()
+        q = np.arange(d - j)
+        out[q, q + j] = vals
+        out[q + j, q] = vals.conj()
     return PhaseMatrix(out)
 
 
@@ -558,17 +566,18 @@ def preclean_check(matrix: PhaseMatrix, tol: float = DEFAULT_TAIL_TOL) -> Option
     factorization on the tail, which is verified by an explicit
     second-eigenvalue test.  Returns ``None`` when no such n0 exists at
     this truncation.  A trailing 1 x 1 block is vacuous evidence, so the
-    tail must span at least two indices.
+    tail must span at least two indices.  The stored matrix is Hermitian
+    by construction, so ``|c|`` is exactly symmetric and the minimum over
+    the block from n0 on is the minimum of the upper-triangle row minima
+    of rows n0..D-1: one suffix minimum decides every candidate.
     """
     d = matrix.dim
-    mods = np.abs(matrix.entries)
-    n0 = None
-    for cand in range(d - 1):
-        if mods[cand:, cand:].min() >= 1.0 - tol:
-            n0 = cand
-            break
-    if n0 is None:
+    upper = np.where(np.tri(d, k=-1, dtype=bool), np.inf, np.abs(matrix.entries))
+    block_min = np.minimum.accumulate(upper.min(axis=1)[::-1])[::-1]
+    hits = np.nonzero(block_min[: d - 1] >= 1.0 - tol)[0]
+    if not hits.size:
         return None
+    n0 = int(hits[0])
     tail = matrix.entries[n0:, n0:]
     w = np.linalg.eigvalsh(tail)
     k = d - n0

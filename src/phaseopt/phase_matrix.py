@@ -65,6 +65,8 @@ class ValidationReport:
     max_modulus: float
     failures: tuple = ()
     witness: dict = field(default_factory=dict)
+    # Hermitian rebuild from the lower triangle (None if an entry is not finite)
+    hermitian: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -152,27 +154,30 @@ def validate(entries, eps_psd: float = EPS_PSD) -> ValidationReport:
         max_modulus=max_mod,
         failures=tuple(failures),
         witness=witness,
+        hermitian=h,
     )
 
 
 class PhaseMatrix:
     """Immutable D x D phase matrix (Hermitian, unit diagonal, PSD).
 
-    Hermiticity is enforced structurally: the stored array is rebuilt
-    from the lower triangle so the invariant cannot drift.
+    Hermiticity is enforced structurally: the stored array is the
+    lower-triangle rebuild that :func:`validate` checked, so the invariant
+    cannot drift.  ``_gram`` memoizes :func:`gram_factor`.
     """
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "entries", "_gram")
 
     def __init__(self, entries, *, eps_psd: float = EPS_PSD):
         report = validate(entries, eps_psd)
         if not report.ok:
             raise ValueError(f"not a valid phase matrix: {', '.join(report.failures)}")
-        h = _mirror_lower(np.asarray(entries, dtype=np.complex128))
+        h = report.hermitian
         np.fill_diagonal(h, 1.0)
         h.flags.writeable = False
         object.__setattr__(self, "entries", h)
         object.__setattr__(self, "dim", h.shape[0])
+        object.__setattr__(self, "_gram", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PhaseMatrix is immutable")
@@ -300,15 +305,23 @@ def gram_factor(matrix: PhaseMatrix, eps_rank: float = EPS_RANK) -> EtaSystem:
     """Factor a phase matrix into unit vectors via eigendecomposition.
 
     Eigenvalues above ``eps_rank`` times the largest are kept; the number
-    kept is the numerical rank at this truncation.
+    kept is the numerical rank at this truncation.  The factor is cached
+    on the (immutable) matrix, keyed by ``eps_rank``, so a repeated call
+    returns the same :class:`EtaSystem` without a second ``eigh``; its
+    ``vectors`` are therefore read-only.
     """
+    if matrix._gram is not None and matrix._gram[0] == eps_rank:
+        return matrix._gram[1]
     w, q = np.linalg.eigh(matrix.entries)
     keep = w > eps_rank * w[-1]
     wk = w[keep]
     vectors = q[:, keep].conj() * np.sqrt(wk)
     # eigenvector roundoff can leave norms a hair off 1; renormalize rows
     vectors /= np.linalg.norm(vectors, axis=1)[:, None]
-    return EtaSystem(rank=int(keep.sum()), vectors=vectors)
+    vectors.flags.writeable = False
+    eta = EtaSystem(rank=int(keep.sum()), vectors=vectors)
+    object.__setattr__(matrix, "_gram", (eps_rank, eta))
+    return eta
 
 
 def translate(matrix: PhaseMatrix, x: complex) -> PhaseMatrix:
@@ -330,8 +343,12 @@ def u_equivalent(
     Entrywise moduli must agree within ``tol``; the phases are propagated
     by BFS over the graph of nonzero entries of ``m2``, fixing the free
     phase of each connected component to 1 at its smallest index, and
-    every edge (tree and non-tree) is verified.  Returns ``None`` when no
-    such sequence exists at this truncation.
+    every edge (tree and non-tree) is verified.  Each dequeued vertex
+    finds its unvisited neighbours with one array test, in index order;
+    the phase arithmetic stays scalar, because numpy's array complex
+    multiply and ``abs`` do not round like the scalar ones, and the
+    result is pinned bit for bit.  Returns ``None`` when no such sequence
+    exists at this truncation.
     """
     if m1.dim != m2.dim:
         raise ValueError("dimension mismatch")
@@ -348,9 +365,8 @@ def u_equivalent(
         queue = deque([root])
         while queue:
             m = queue.popleft()
-            for n in range(d):
-                if n == m or not support[m, n] or lam[n] != 0:
-                    continue
+            # lam[m] != 0 already, so m is not its own neighbour here
+            for n in np.nonzero(support[m] & (lam == 0))[0].tolist():
                 # c1[m,n] = lam[n] * conj(lam[m]) * c2[m,n]
                 ratio = c1[m, n] / c2[m, n]
                 cand = ratio * lam[m]

@@ -153,6 +153,25 @@ def test_check_extremal_pipe(capsys, monkeypatch):
     assert json.loads(out)["verdict"] == "extremal"
 
 
+def test_check_extremal_factors_once(capsys, monkeypatch, tmp_path):
+    """gram_factor and real_nonextremal_shortcut share one eigendecomposition."""
+    path = tmp_path / "state.json"
+    assert main(["gen", "state", "--levels", "0.5@0,0.5@1", "--dim", "32", "--out", str(path)]) == 0
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    code, out = run_cli(capsys, "check", "extremal", "--in", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "not-extremal" and report["real_certificate"] is not None
+    assert calls == [(32, 32)]
+
+
 def test_check_sharp_and_preclean(capsys, monkeypatch):
     _, gen_out = run_cli(capsys, "gen", "example5", "--dim", "64")
     code, out = run_cli_stdin(capsys, monkeypatch, gen_out, "check", "sharp")
@@ -604,6 +623,8 @@ def test_malformed_input_is_diagnosed(tmp_path, capsys, monkeypatch):
         ("subset", 3, "subset must hold distinct outcomes 0..5, got 3"),
         ("nu", [0.5, 0.5], "nu must have N = 6 weights, got 2"),
         ("weights", 5, "weights must be a list of integers, got 5"),
+        ("weights", [0, 1, 10**30], f"weights must satisfy |w| * max(N - 1, 1) < 2**63, got {10**30}"),
+        ("nu", [], "a measure needs at least one weight"),
         ("nu", 3, "nu must be a list of finite numbers, got 3"),
         ("checks", 7, f"checks must be a list of {known}, got 7"),
         ("checks", "covariance", f"checks must be a list of {known}, got 'covariance'"),

@@ -54,6 +54,24 @@ def test_rep_is_a_homomorphism():
     assert np.abs(rep.unitary(0) - np.eye(4)).max() == 0.0
 
 
+def test_rep_refuses_weights_beyond_int64_arithmetic():
+    # unitary() forms w * (g mod N) in int64; the largest weight that fits still works
+    top = (2**63 - 1) // 5
+    assert np.isfinite(CyclicRep(6, (0, top)).unitary(5)).all()
+    for order, weights in ((6, (0, 1, 10**30)), (6, (0, top + 1)), (1, (-(2**63),))):
+        with pytest.raises(ValueError, match=r"\|w\| \* max\(N - 1, 1\) < 2\*\*63"):
+            CyclicRep(order, weights)
+
+
+def test_finite_measure_refuses_nan_and_empty_weights():
+    for weights in ((math.nan, 1.0), (1.0, math.nan), (math.inf, -math.inf), (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="measure weights"):
+            FiniteMeasure(weights)
+    with pytest.raises(ValueError, match="at least one weight"):
+        FiniteMeasure(())
+    assert FiniteMeasure((0.25, 0.75)).weights == (0.25, 0.75)
+
+
 # --- observables ----------------------------------------------------------------
 
 

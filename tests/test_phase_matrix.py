@@ -152,6 +152,43 @@ def test_state_generated_rank_grows_with_dimension():
     assert all(a < b for a, b in zip(ranks, ranks[1:]))
 
 
+def counting_eigh(monkeypatch) -> list:
+    """Patch np.linalg.eigh to record each call; returns the call log."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_gram_factor_is_computed_once_per_matrix(monkeypatch):
+    calls = counting_eigh(monkeypatch)
+    m = state_generated([0.5, 0.5], 32)
+    eta = gram_factor(m)
+    assert len(calls) == 1
+    assert gram_factor(m) is eta and gram_factor(m, 1e-9) is eta
+    assert len(calls) == 1
+    # a different cutoff is a different factor
+    coarse = gram_factor(m, 1e-3)
+    assert len(calls) == 2 and coarse.rank < eta.rank
+    # a fresh matrix with the same entries factors afresh, to the same bits
+    again = gram_factor(state_generated([0.5, 0.5], 32))
+    assert len(calls) == 3
+    bits = [np.ascontiguousarray(e.vectors).view(np.uint64) for e in (again, eta)]
+    assert np.array_equal(*bits)
+
+
+def test_gram_factor_vectors_are_read_only():
+    eta = gram_factor(chessboard(0.3 + 0.4j, 8))
+    assert not eta.vectors.flags.writeable
+    with pytest.raises(ValueError):
+        eta.vectors[0, 0] = 0.0
+
+
 def test_from_eta_trivial_families():
     v = np.array([[1.0, 0.0]] * 5, dtype=complex)
     assert from_eta(v).allclose(canonical(5))
