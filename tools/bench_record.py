@@ -136,9 +136,9 @@ def main(argv=None) -> int:
                     pair[side].pop("environment", None)
             result["workloads"][name] = {
                 "seeds": seeds,
-                "digests_equal": all(pr["parent"]["output_sha256"] == pr["change"]["output_sha256"]
-                                     for pr in pairs),
-                "failed": sum(pr[s]["failed"] for pr in pairs for s in trees),
+                "digests_equal": all(pair["parent"]["output_sha256"] == pair["change"]["output_sha256"]
+                                     for pair in pairs),
+                "failed": sum(pair[s]["failed"] for pair in pairs for s in trees),
                 "end_to_end": summarize(pairs, benchmark),
                 "pairs": pairs,
                 "per_layer": {side: {"seed": seeds[-1] + 1, "metrics": traced[side]["metrics"]}
