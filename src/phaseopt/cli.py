@@ -38,6 +38,7 @@ from .measure import (
     et_quadrature_oracle,
 )
 from .optimal import (
+    DEFAULT_SHARP_TOL,
     DEFAULT_TAIL_TOL,
     CircleMeasure,
     CriterionInapplicableError,
@@ -53,6 +54,8 @@ from .optimal import (
     smear,
 )
 from .phase_matrix import (
+    EPS_PSD,
+    EPS_RANK,
     LEVEL_CUTOFF,
     PhaseMatrix,
     canonical,
@@ -189,9 +192,9 @@ def _cmd_gen(args, cfg: Config) -> int:
 
 
 def _cmd_validate(args, cfg: Config) -> int:
-    report = validate(_load(args.infile, matrix_from_dict), cfg.eps_psd)
+    report = validate(_load(args.infile, matrix_from_dict))
     out = report.to_dict()
-    out["tolerances"] = {"eps_psd": cfg.eps_psd}
+    out["tolerances"] = {"eps_psd": EPS_PSD}
     return _report(args, out, not report.ok)
 
 
@@ -217,18 +220,20 @@ def _cmd_norm_sweep(args, cfg: Config) -> int:
 
 
 def _cmd_check(args, cfg: Config) -> int:
+    defaults = {"sharp": DEFAULT_SHARP_TOL, "preclean": DEFAULT_TAIL_TOL,
+                "uequiv": cfg.tol_equiv, "postclass": cfg.tol_equiv}
+    if args.criterion not in defaults and args.tol is not None:
+        raise CliError(f"check {args.criterion} takes no --tol; it uses EPS_RANK = {EPS_RANK}")
+    tol = defaults.get(args.criterion) if args.tol is None else args.tol
     m = _load(args.infile, PhaseMatrix.from_dict)
-    defaults = {"sharp": cfg.tol_sharp, "preclean": DEFAULT_TAIL_TOL}
-    tol = defaults.get(args.criterion, cfg.tol_equiv) if args.tol is None else args.tol
     if args.criterion == "sharp":
         rep = approx_sharp_check(m, tol=tol)
         data = rep.to_dict()
         return _report(args, data, not rep.consistent)
     if args.criterion == "extremal":
-        eta = gram_factor(m, cfg.eps_rank)
-        rep = extremal_check(eta)
+        rep = extremal_check(gram_factor(m))
         data = rep.to_dict()
-        data["tolerances"] = {"eps_rank": cfg.eps_rank}
+        data["tolerances"] = {"eps_rank": EPS_RANK}
         cert = real_nonextremal_shortcut(m)
         data["real_certificate"] = (
             None
@@ -237,12 +242,8 @@ def _cmd_check(args, cfg: Config) -> int:
         )
         return _report(args, data, not rep.extremal)
     if args.criterion == "rank":
-        eta = gram_factor(m, cfg.eps_rank)
-        return _report(
-            args,
-            {"rank": eta.rank, "dim": m.dim, "eps_rank": cfg.eps_rank},
-            False,
-        )
+        rank = gram_factor(m).rank
+        return _report(args, {"rank": rank, "dim": m.dim, "eps_rank": EPS_RANK}, False)
     if args.criterion == "preclean":
         n0 = preclean_check(m, tol=tol)
         data = {

@@ -13,8 +13,7 @@ from pathlib import Path
 from typing import Optional
 
 from .measure import DEFAULT_GRID
-from .optimal import DEFAULT_SHARP_TOL
-from .phase_matrix import EPS_EQUIV, EPS_PSD, EPS_RANK
+from .phase_matrix import EPS_EQUIV
 
 __all__ = ["Config", "load_config", "DEFAULT_CONFIG_NAME"]
 
@@ -24,9 +23,6 @@ DEFAULT_CONFIG_NAME = "phaseopt.cfg"
 @dataclass
 class Config:
     dim: int = 64
-    eps_psd: float = EPS_PSD
-    eps_rank: float = EPS_RANK
-    tol_sharp: float = DEFAULT_SHARP_TOL
     tol_equiv: float = EPS_EQUIV
     grid: int = DEFAULT_GRID
     recovery_depth: Optional[int] = None
@@ -34,9 +30,8 @@ class Config:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
-        for name in ("eps_psd", "eps_rank", "tol_sharp", "tol_equiv"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        if not self.tol_equiv > 0:
+            raise ValueError("tol_equiv must be positive")
         if self.grid < 2:
             raise ValueError("grid must be at least 2")
 

@@ -420,15 +420,16 @@ def post_equiv_class(
 
     Postprocessing equivalence of approximately sharp observables is a
     pure translation, so both inputs must pass the sharpness consistency
-    check first; otherwise the criterion does not apply and
-    :class:`CriterionInapplicableError` is raised.
+    check at ``DEFAULT_SHARP_TOL`` first; otherwise the criterion does not
+    apply and :class:`CriterionInapplicableError` is raised.
     """
     if m1.dim != m2.dim:
         raise ValueError("dimension mismatch")
     for which, m in (("first", m1), ("second", m2)):
-        if not approx_sharp_check(m).consistent:
+        sharp = approx_sharp_check(m)
+        if not sharp.consistent:
             raise CriterionInapplicableError(
-                f"{which} input fails the approximate-sharpness precheck"
+                f"{which} input fails the approximate-sharpness precheck at tol {sharp.tol}"
             )
     d = m1.dim
     c1, c2 = m1.entries, m2.entries

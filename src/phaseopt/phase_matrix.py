@@ -93,11 +93,12 @@ def _toeplitz(table: np.ndarray) -> np.ndarray:
     return table[np.subtract.outer(np.arange(d), np.arange(d)) + (d - 1)]
 
 
-def validate(entries, eps_psd: float = EPS_PSD) -> ValidationReport:
+def validate(entries) -> ValidationReport:
     """Check Hermiticity, unit diagonal and positive semidefiniteness.
 
-    Returns a verdict object rather than raising; the failed condition
-    and a witness (offending entry or eigenvalue) are reported.
+    Eigenvalues down to ``-EPS_PSD`` and moduli up to ``1 + 10 * EPS_PSD``
+    pass.  Returns a verdict object rather than raising; the failed
+    condition and a witness (offending entry or eigenvalue) are reported.
     """
     a = np.asarray(entries, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
@@ -134,13 +135,13 @@ def validate(entries, eps_psd: float = EPS_PSD) -> ValidationReport:
 
     h = _mirror_lower(a)
     min_eig = float(np.linalg.eigvalsh(h)[0])
-    if min_eig < -eps_psd:
+    if min_eig < -EPS_PSD:
         failures.append("psd")
         witness["min_eigenvalue"] = min_eig
 
     mods = np.abs(a)
     max_mod = float(mods.max())
-    if max_mod > 1.0 + 10.0 * eps_psd:
+    if max_mod > 1.0 + 10.0 * EPS_PSD:
         failures.append("modulus")
         i, j = np.unravel_index(int(mods.argmax()), mods.shape)
         witness["modulus_entry"] = [int(i), int(j)]
@@ -162,14 +163,14 @@ class PhaseMatrix:
     """Immutable D x D phase matrix (Hermitian, unit diagonal, PSD).
 
     Hermiticity is enforced structurally: the stored array is the
-    lower-triangle rebuild that :func:`validate` checked, so the invariant
-    cannot drift.  ``_gram`` memoizes :func:`gram_factor`.
+    lower-triangle rebuild that :func:`validate` checked at ``EPS_PSD``, so
+    the invariant cannot drift.  ``_gram`` memoizes :func:`gram_factor`.
     """
 
     __slots__ = ("dim", "entries", "_gram")
 
-    def __init__(self, entries, *, eps_psd: float = EPS_PSD):
-        report = validate(entries, eps_psd)
+    def __init__(self, entries):
+        report = validate(entries)
         if not report.ok:
             raise ValueError(f"not a valid phase matrix: {', '.join(report.failures)}")
         h = report.hermitian
@@ -301,26 +302,26 @@ def example5(dim: int) -> PhaseMatrix:
     return from_eta(np.array(vecs))
 
 
-def gram_factor(matrix: PhaseMatrix, eps_rank: float = EPS_RANK) -> EtaSystem:
+def gram_factor(matrix: PhaseMatrix) -> EtaSystem:
     """Factor a phase matrix into unit vectors via eigendecomposition.
 
-    Eigenvalues above ``eps_rank`` times the largest are kept; the number
+    Eigenvalues above ``EPS_RANK`` times the largest are kept; the number
     kept is the numerical rank at this truncation.  The factor is cached
-    on the (immutable) matrix, keyed by ``eps_rank``, so a repeated call
-    returns the same :class:`EtaSystem` without a second ``eigh``; its
-    ``vectors`` are therefore read-only.
+    on the (immutable) matrix, so a repeated call returns the same
+    :class:`EtaSystem` without a second ``eigh``; its ``vectors`` are
+    therefore read-only.
     """
-    if matrix._gram is not None and matrix._gram[0] == eps_rank:
-        return matrix._gram[1]
+    if matrix._gram is not None:
+        return matrix._gram
     w, q = np.linalg.eigh(matrix.entries)
-    keep = w > eps_rank * w[-1]
+    keep = w > EPS_RANK * w[-1]
     wk = w[keep]
     vectors = q[:, keep].conj() * np.sqrt(wk)
     # eigenvector roundoff can leave norms a hair off 1; renormalize rows
     vectors /= np.linalg.norm(vectors, axis=1)[:, None]
     vectors.flags.writeable = False
     eta = EtaSystem(rank=int(keep.sum()), vectors=vectors)
-    object.__setattr__(matrix, "_gram", (eps_rank, eta))
+    object.__setattr__(matrix, "_gram", eta)
     return eta
 
 

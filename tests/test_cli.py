@@ -37,32 +37,37 @@ def run_cli_stdin(capsys, monkeypatch, text, *argv):
 def test_config_defaults_and_env(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = load_config(env={})
-    assert cfg.dim == 64 and cfg.eps_psd == 1e-10
+    assert cfg.dim == 64 and cfg.tol_equiv == 1e-10
     cfg = load_config(env={"PHASEOPT_DIM": "32"})
     assert cfg.dim == 32
 
 
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "phaseopt.cfg"
-    path.write_text("dim = 16\n# comment\ntol_sharp = 0.3\n")
+    path.write_text("dim = 16\n# comment\ntol_equiv = 0.3\n")
     cfg = load_config(str(path), env={})
-    assert cfg.dim == 16 and cfg.tol_sharp == 0.3
+    assert cfg.dim == 16 and cfg.tol_equiv == 0.3
 
 
-def test_config_rejects_unknown_keys(tmp_path):
+def test_config_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "phaseopt.cfg"
     path.write_text("shinyness = 3\n")
     with pytest.raises(ValueError):
         load_config(str(path), env={})
+    # cutoffs that are module constants have no key: a file naming one is refused
+    for key, value in (("eps_psd", "1e-3"), ("eps_rank", "1e-6"), ("tol_sharp", "0.3")):
+        path.write_text(f"dim = 8\n{key} = {value}\n")
+        assert main(["--config", str(path), "gen", "canonical"]) == 1, key
+        assert capsys.readouterr() == ("", f"error: {path}:2: unknown setting {key!r}\n"), key
 
 
 def test_config_validates_ranges():
     with pytest.raises(ValueError):
         Config(dim=1)
     with pytest.raises(ValueError):
-        Config(tol_sharp=-0.1)
+        Config(tol_equiv=-0.1)
     with pytest.raises(ValueError):
-        Config(eps_psd=float("nan"))
+        Config(tol_equiv=float("nan"))
 
 
 # --- gen / validate ---------------------------------------------------------------
@@ -193,6 +198,45 @@ def test_check_rank(capsys, monkeypatch):
     assert json.loads(out)["rank"] == 2
 
 
+@pytest.mark.parametrize("dim", [8, 32])
+def test_check_extremal_never_contradicts_its_certificate(tmp_path, capsys, dim):
+    """The verdict, the rank and the real certificate all come from one Gram factor."""
+    families = [
+        ["canonical"],
+        ["chessboard", "--xi", "0.5"],
+        ["example5"],
+        ["state", "--levels", "1.0@0"],
+        ["state", "--levels", "0.3@0,0.3@1,0.4@2"],
+    ]
+    # unit vectors (cos e, sin e), e = linspace(0, 2e-3, 8): relative eigenvalues 1 and 4.3e-7
+    eta_path = tmp_path / "vectors.json"
+    vectors = [[[math.cos(e), 0.0], [math.sin(e), 0.0]] for e in np.linspace(0.0, 2e-3, 8)]
+    eta_path.write_text(json.dumps({"vectors": vectors}))
+    gens = [["gen", *family, "--dim", str(dim)] for family in families]
+    gens.append(["gen", "eta", "--in", str(eta_path)])
+    path = tmp_path / "matrix.json"
+    for gen in gens:
+        assert main([*gen, "--out", str(path)]) == 0, gen
+        _, out = run_cli(capsys, "check", "extremal", "--in", str(path))
+        report = json.loads(out)
+        assert not (report["verdict"] == "extremal" and report["real_certificate"]), gen
+        _, out = run_cli(capsys, "check", "rank", "--in", str(path))
+        assert json.loads(out)["rank"] == report["rank"], gen
+    assert report["verdict"] == "not-extremal" and report["rank"] == 2
+
+
+def test_postclass_precheck_agrees_with_check_sharp(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    for levels in ("1.0@0", "1.0@2"):
+        assert main(["gen", "state", "--levels", levels, "--dim", "32", "--out", str(path)]) == 0
+        _, out = run_cli(capsys, "check", "sharp", "--in", str(path))
+        consistent = json.loads(out)["verdict"] == "consistent"
+        _, out = run_cli(capsys, "check", "postclass", "--in", str(path), "--other", str(path))
+        assert (json.loads(out)["verdict"] != "inapplicable") == consistent, levels
+    # max tail deviation 0.246: refused by both at the one sharpness cutoff, 0.2
+    assert not consistent
+
+
 def test_check_uequiv_and_postclass(tmp_path, capsys, monkeypatch):
     m = canonical(16)
     x = complex(math.cos(0.8), math.sin(0.8))
@@ -240,7 +284,9 @@ def test_check_postclass_inapplicable(tmp_path, capsys, monkeypatch):
         "--other",
         str(other_path),
     )
-    assert json.loads(out)["verdict"] == "inapplicable"
+    report = json.loads(out)
+    assert report["verdict"] == "inapplicable"
+    assert report["reason"] == "first input fails the approximate-sharpness precheck at tol 0.2"
 
 
 # --- density / sweeps / smear -------------------------------------------------------
@@ -679,6 +725,12 @@ def test_flag_values_must_be_positive(capsys, monkeypatch):
     # the tolerance used is the one reported
     code, out = run_cli_stdin(capsys, monkeypatch, gen_out, "check", "preclean", "--tol", "0.25")
     assert json.loads(out)["tolerances"] == {"tail_modulus": 0.25}
+    # extremal and rank decide at EPS_RANK, so a --tol there is refused, not ignored
+    for criterion in ("extremal", "rank"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(gen_out))
+        assert main(["check", criterion, "--tol", "0.5"]) == 1, criterion
+        message = f"error: check {criterion} takes no --tol; it uses EPS_RANK = 1e-09\n"
+        assert capsys.readouterr() == ("", message), criterion
 
 
 def test_dimension_mismatch_is_explicit(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,9 @@
 """The public surface of the ``phaseopt`` package."""
 
 import inspect
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import phaseopt
 
@@ -66,3 +69,19 @@ def test_package_exports_exactly_the_pinned_names():
         if not name.startswith("_") and not inspect.ismodule(value)
     )
     assert exported == PUBLIC_NAMES
+
+
+# each Config field is a user-visible setting (a config-file key); adding or
+# retiring one is a CLI change and must show up here as a diff
+CONFIG_DEFAULTS = {"dim": 64, "tol_equiv": 1e-10, "grid": 512, "recovery_depth": None}
+
+
+def test_config_fields_are_pinned():
+    assert {f.name: f.default for f in fields(phaseopt.Config)} == CONFIG_DEFAULTS
+
+
+def test_readme_configuration_table_lists_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| key | default | from |\n", 1)[1].split("\n\n", 1)[0]
+    keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
+    assert keys == list(CONFIG_DEFAULTS)
