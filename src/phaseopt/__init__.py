@@ -1,6 +1,5 @@
 """Phase matrices for covariant phase observables and their optimality verdicts."""
 
-from .config import Config, load_config
 from .measure import (
     Arc,
     CoherentVector,

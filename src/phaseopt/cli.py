@@ -26,9 +26,9 @@ from ._serialize import (
     matrix_from_dict,
     sweep_csv,
 )
-from .config import Config, load_config
 from .measure import (
     Arc,
+    DEFAULT_GRID,
     CoherentVector,
     DensityMatrix,
     DiagonalState,
@@ -54,6 +54,7 @@ from .optimal import (
     smear,
 )
 from .phase_matrix import (
+    EPS_EQUIV,
     EPS_PSD,
     EPS_RANK,
     LEVEL_CUTOFF,
@@ -76,26 +77,15 @@ class CliError(Exception):
     """Bad input surfaced as a diagnostic and exit code 1."""
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
-
-
-def _load_json(path: str) -> dict:
-    text = _read_text(path)
+def _load(path: str, decode):
+    """Decode the JSON object at path (- is stdin); bad input becomes a CliError naming the path."""
+    text = sys.stdin.read() if path == "-" else Path(path).read_text()
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON ({exc})")
     if not isinstance(data, dict):
         raise CliError(f"{path}: expected a JSON object")
-    return data
-
-
-def _load(path: str, decode):
-    """Decode the JSON object at path; a ValueError becomes a CliError naming the path."""
-    data = _load_json(path)
     try:
         return decode(data)
     except ValueError as exc:
@@ -116,15 +106,16 @@ def _parse_levels(spec: str) -> np.ndarray:
     pairs = []
     for chunk in spec.split(","):
         chunk = chunk.strip()
-        if "@" not in chunk:
+        try:
+            w, lvl = chunk.split("@", 1)
+            weight, level = float(w), int(lvl)
+        except ValueError:
             raise CliError(f"level spec {chunk!r} is not 'weight@level'")
-        w, lvl = chunk.split("@", 1)
-        level = int(lvl)
         if level < 0:
             raise CliError(f"level spec {chunk!r} has a negative level")
         if level >= LEVEL_CUTOFF:
             raise CliError(f"state support reaches level {level}, above the cutoff {LEVEL_CUTOFF}")
-        pairs.append((float(w), level))
+        pairs.append((weight, level))
     size = max(lvl for _, lvl in pairs) + 1
     weights = np.zeros(size)
     for w, lvl in pairs:
@@ -142,10 +133,11 @@ def _parse_arc(spec: str) -> Arc:
         return named[spec]
     comps = []
     for chunk in spec.split(","):
-        if ":" not in chunk:
+        try:
+            a, b = chunk.split(":", 1)
+            comps.append((float(a), float(b)))
+        except ValueError:
             raise CliError(f"arc component {chunk!r} is not 'start:length'")
-        a, b = chunk.split(":", 1)
-        comps.append((float(a), float(b)))
     return Arc(tuple(comps))
 
 
@@ -169,6 +161,12 @@ def _refusal(args, verdict: str, exc: Exception, dim: int) -> int:
 # --- subcommand handlers ------------------------------------------------------
 
 
+def _eta_matrix(data: dict) -> PhaseMatrix:
+    if "vectors" not in data:
+        raise ValueError("missing field 'vectors'")
+    return from_eta(complex_from_pairs(data["vectors"], "vectors", depth=2))
+
+
 def _family_matrix(args, dim: int) -> PhaseMatrix:
     """The phase matrix of ``args.family`` at dimension dim (gen and norm-sweep)."""
     if args.family == "canonical":
@@ -178,27 +176,26 @@ def _family_matrix(args, dim: int) -> PhaseMatrix:
     if args.family == "state":
         return state_generated(_parse_levels(args.levels), dim)
     if args.family == "eta":
-        vectors = _load_json(args.infile)["vectors"]
-        return from_eta(complex_from_pairs(vectors, "vectors", depth=2))
+        return _load(args.infile, _eta_matrix)
     if args.family == "example4":
         return example4(args.n0, dim)
     return example5(dim)
 
 
-def _cmd_gen(args, cfg: Config) -> int:
-    m = _family_matrix(args, cfg.dim if args.dim is None else args.dim)
+def _cmd_gen(args) -> int:
+    m = _family_matrix(args, args.dim)
     _emit(dumps(m.to_dict()), args.out)
     return 0
 
 
-def _cmd_validate(args, cfg: Config) -> int:
+def _cmd_validate(args) -> int:
     report = validate(_load(args.infile, matrix_from_dict))
     out = report.to_dict()
     out["tolerances"] = {"eps_psd": EPS_PSD}
     return _report(args, out, not report.ok)
 
 
-def _cmd_density(args, cfg: Config) -> int:
+def _cmd_density(args) -> int:
     m = _load(args.infile, PhaseMatrix.from_dict)
     if args.coherent is not None:
         rho = CoherentVector(_parse_complex(args.coherent), m.dim).density_matrix()
@@ -206,25 +203,43 @@ def _cmd_density(args, cfg: Config) -> int:
         rho = _load(args.state_file, DensityMatrix.from_dict)
     else:
         raise CliError("density needs --coherent or --state-file")
-    thetas, values = density(m, rho, cfg.grid if args.grid is None else args.grid)
+    thetas, values = density(m, rho, args.grid)
     _emit(density_csv(thetas, values), args.out)
     return 0
 
 
-def _cmd_norm_sweep(args, cfg: Config) -> int:
+def _cmd_norm_sweep(args) -> int:
     arc = _parse_arc(args.arc)
-    dims = [int(d) for d in args.dims.split(",")]
+    try:
+        dims = [int(d) for d in args.dims.split(",")]
+        if min(dims) < 1:
+            raise ValueError
+    except ValueError:
+        raise CliError(f"--dims must list positive integers, got {args.dims!r}")
     rows = [(d, effect_norm(_family_matrix(args, d), arc)) for d in dims]
     _emit(sweep_csv(rows), args.out)
     return 0
 
 
-def _cmd_check(args, cfg: Config) -> int:
-    defaults = {"sharp": DEFAULT_SHARP_TOL, "preclean": DEFAULT_TAIL_TOL,
-                "uequiv": cfg.tol_equiv, "postclass": cfg.tol_equiv}
-    if args.criterion not in defaults and args.tol is not None:
+# per criterion: the --tol default (None: decides at EPS_RANK, refuses --tol)
+# and whether it compares against a second matrix given by --other
+_CHECKS = {
+    "sharp": (DEFAULT_SHARP_TOL, False),
+    "extremal": (None, False),
+    "rank": (None, False),
+    "preclean": (DEFAULT_TAIL_TOL, False),
+    "postclass": (EPS_EQUIV, True),
+    "uequiv": (EPS_EQUIV, True),
+}
+
+
+def _cmd_check(args) -> int:
+    default, binary = _CHECKS[args.criterion]
+    if default is None and args.tol is not None:
         raise CliError(f"check {args.criterion} takes no --tol; it uses EPS_RANK = {EPS_RANK}")
-    tol = defaults.get(args.criterion) if args.tol is None else args.tol
+    if binary != (args.other is not None):
+        raise CliError(f"check {args.criterion} {'requires' if binary else 'takes no'} --other")
+    tol = default if args.tol is None else args.tol
     m = _load(args.infile, PhaseMatrix.from_dict)
     if args.criterion == "sharp":
         rep = approx_sharp_check(m, tol=tol)
@@ -253,9 +268,7 @@ def _cmd_check(args, cfg: Config) -> int:
             "tolerances": {"tail_modulus": tol},
         }
         return _report(args, data, n0 is None)
-    other = _load(args.other, PhaseMatrix.from_dict) if args.other else None
-    if other is None:
-        raise CliError(f"check {args.criterion} requires --other")
+    other = _load(args.other, PhaseMatrix.from_dict)
     if args.criterion == "postclass":
         try:
             x = post_equiv_class(m, other, tol=tol)
@@ -274,27 +287,26 @@ def _cmd_check(args, cfg: Config) -> int:
     return _report(args, data, found is None)
 
 
-def _cmd_smear(args, cfg: Config) -> int:
+def _cmd_smear(args) -> int:
     m = _load(args.infile, PhaseMatrix.from_dict)
     nu = _load(args.nu, CircleMeasure.from_dict)
     _emit(dumps(smear(m, nu).to_dict()), args.out)
     return 0
 
 
-def _cmd_channel_identity(args, cfg: Config) -> int:
+def _cmd_channel_identity(args) -> int:
     m = _load(args.infile, PhaseMatrix.from_dict)
     rng = np.random.default_rng(args.seed)
     chan = canonical_channel(m)
     can = canonical(m.dim)
-    grid = cfg.grid if args.grid is None else args.grid
     worst = 0.0
     for _ in range(args.trials):
         g = rng.normal(size=(m.dim, m.dim)) + 1j * rng.normal(size=(m.dim, m.dim))
         rho_arr = g @ g.conj().T
         rho_arr /= rho_arr.trace()
         rho = DensityMatrix(rho_arr)
-        _, d1 = density(m, rho, grid)
-        _, d2 = density(can, DensityMatrix(chan(rho.entries)), grid)
+        _, d1 = density(m, rho, args.grid)
+        _, d2 = density(can, DensityMatrix(chan(rho.entries)), args.grid)
         worst = max(worst, float(np.abs(d1 - d2).max()))
     data = {
         "verdict": "pass" if worst < args.tol else "fail",
@@ -306,11 +318,9 @@ def _cmd_channel_identity(args, cfg: Config) -> int:
     return _report(args, data, worst >= args.tol)
 
 
-def _cmd_recover_state(args, cfg: Config) -> int:
+def _cmd_recover_state(args) -> int:
     m = _load(args.infile, PhaseMatrix.from_dict)
-    depth = cfg.recovery_depth if args.depth is None else args.depth
-    if depth is None:
-        depth = recovery_depth(m.dim)
+    depth = recovery_depth(m.dim) if args.depth is None else args.depth
     try:
         state = recover_state(m, depth=depth)
     except NotStateGeneratedError as exc:
@@ -324,7 +334,7 @@ def _cmd_recover_state(args, cfg: Config) -> int:
     return _report(args, data, False)
 
 
-def _cmd_oracle_et(args, cfg: Config) -> int:
+def _cmd_oracle_et(args) -> int:
     state = DiagonalState(_parse_levels(args.levels))
     arc = _parse_arc(args.arc)
     approx = et_quadrature_oracle(
@@ -397,7 +407,7 @@ def _groupsim_inputs(scn: dict) -> tuple:
     return scn, rep, gs.make_covariant(rep, seed), nu, seed2
 
 
-def _cmd_groupsim(args, cfg: Config) -> int:
+def _cmd_groupsim(args) -> int:
     scn, rep, obs, nu, seed2 = _load(args.scenario, _groupsim_inputs)
     results = {}
     failed = False
@@ -495,7 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="phaseopt",
         description="Phase-matrix constructors and optimality verdicts.",
     )
-    parser.add_argument("--config", default=None, help="path to a key = value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a phase matrix")
@@ -503,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "family",
         choices=["canonical", "chessboard", "state", "eta", "example4", "example5"],
     )
-    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--dim", type=int, default=64)
     p.add_argument("--xi", default="0.5", help="chessboard parameter (complex)")
     p.add_argument("--levels", default="1.0@0", help="diagonal state as w@level,...")
     p.add_argument("--n0", type=int, default=3, help="example4 tail offset")
@@ -515,7 +524,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="outcome density of a state, as CSV")
     p.add_argument("--coherent", default=None, help="coherent amplitude (complex)")
     p.add_argument("--state-file", default=None, help="density-matrix JSON path")
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("norm-sweep", help="effect norms across truncations, as CSV")
@@ -526,10 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_norm_sweep)
 
     p = sub.add_parser("check", help="run an optimality verdict")
-    p.add_argument(
-        "criterion",
-        choices=["sharp", "extremal", "rank", "preclean", "postclass", "uequiv"],
-    )
+    p.add_argument("criterion", choices=list(_CHECKS))
     p.add_argument("--other", default=None, help="second matrix for binary criteria")
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=_cmd_check)
@@ -540,7 +546,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("channel-identity", help="densities factor through the canonical channel")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_channel_identity)
@@ -578,12 +584,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        for flag in ("dim", "grid", "tol"):
+        for flag in ("dim", "grid", "tol", "trials", "r_max", "quad_points"):
             value = getattr(args, flag, None)
             if value is not None and not value > 0:
-                raise CliError(f"--{flag} must be positive, got {value}")
-        return args.func(args, load_config(args.config))
-    except (CliError, ValueError, FileNotFoundError, KeyError) as exc:
+                raise CliError(f"--{flag.replace('_', '-')} must be positive, got {value}")
+        return args.func(args)
+    except (CliError, ValueError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -366,6 +366,8 @@ def recover_state(matrix: PhaseMatrix, depth: Optional[int] = None) -> DiagonalS
     d = matrix.dim
     if depth is None:
         depth = recovery_depth(d)
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
     if 2 * (depth + 1) >= d:
         raise ValueError(f"depth {depth} needs dimension > {2 * (depth + 1)}")
     lam = []

@@ -1,4 +1,4 @@
-"""Command-line front end: subcommands, piping, determinism, config."""
+"""Command-line front end: subcommands, piping, determinism, flag validation."""
 
 import ast
 import io
@@ -16,7 +16,6 @@ import phaseopt
 from phaseopt import groupsim as gs
 from phaseopt._serialize import dumps
 from phaseopt.cli import main
-from phaseopt.config import Config, load_config
 from phaseopt.phase_matrix import PhaseMatrix, canonical, translate
 
 
@@ -29,45 +28,6 @@ def run_cli(capsys, *argv):
 def run_cli_stdin(capsys, monkeypatch, text, *argv):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     return run_cli(capsys, *argv)
-
-
-# --- config ---------------------------------------------------------------------
-
-
-def test_config_defaults_and_env(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    cfg = load_config(env={})
-    assert cfg.dim == 64 and cfg.tol_equiv == 1e-10
-    cfg = load_config(env={"PHASEOPT_DIM": "32"})
-    assert cfg.dim == 32
-
-
-def test_config_file_parsing(tmp_path):
-    path = tmp_path / "phaseopt.cfg"
-    path.write_text("dim = 16\n# comment\ntol_equiv = 0.3\n")
-    cfg = load_config(str(path), env={})
-    assert cfg.dim == 16 and cfg.tol_equiv == 0.3
-
-
-def test_config_rejects_unknown_keys(tmp_path, capsys):
-    path = tmp_path / "phaseopt.cfg"
-    path.write_text("shinyness = 3\n")
-    with pytest.raises(ValueError):
-        load_config(str(path), env={})
-    # cutoffs that are module constants have no key: a file naming one is refused
-    for key, value in (("eps_psd", "1e-3"), ("eps_rank", "1e-6"), ("tol_sharp", "0.3")):
-        path.write_text(f"dim = 8\n{key} = {value}\n")
-        assert main(["--config", str(path), "gen", "canonical"]) == 1, key
-        assert capsys.readouterr() == ("", f"error: {path}:2: unknown setting {key!r}\n"), key
-
-
-def test_config_validates_ranges():
-    with pytest.raises(ValueError):
-        Config(dim=1)
-    with pytest.raises(ValueError):
-        Config(tol_equiv=-0.1)
-    with pytest.raises(ValueError):
-        Config(tol_equiv=float("nan"))
 
 
 # --- gen / validate ---------------------------------------------------------------
@@ -330,14 +290,6 @@ def test_gen_eta_rejects_bad_vectors(tmp_path, capsys):
     path.write_text(json.dumps({"vectors": [[[2.0, 0.0]], [[1.0, 0.0]]]}))
     code, _ = run_cli(capsys, "gen", "eta", "--in", str(path))
     assert code == 1
-
-
-def test_explicit_config_path(tmp_path, capsys):
-    cfg = tmp_path / "alt.cfg"
-    cfg.write_text("dim = 5\n")
-    code, out = run_cli(capsys, "--config", str(cfg), "gen", "canonical")
-    assert code == 0
-    assert json.loads(out)["dim"] == 5
 
 
 def test_norm_sweep_state_family(capsys):
@@ -689,6 +641,18 @@ def test_malformed_input_is_diagnosed(tmp_path, capsys, monkeypatch):
         path.write_text(json.dumps(scenario))
         assert main(["groupsim", "--scenario", str(path)]) == 1, key
         assert capsys.readouterr() == ("", f"error: {path}: missing field {key!r}\n"), key
+    path.write_text(json.dumps({"dim": 3}))
+    assert main(["gen", "eta", "--in", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: missing field 'vectors'\n")
+    for argv, message in (
+        (["norm-sweep", "--dims", "4,x"], "--dims must list positive integers, got '4,x'"),
+        (["norm-sweep", "--dims", "0"], "--dims must list positive integers, got '0'"),
+        (["gen", "state", "--levels", "x@0"], "level spec 'x@0' is not 'weight@level'"),
+        (["norm-sweep", "--arc", "x:1"], "arc component 'x:1' is not 'start:length'"),
+        (["validate", "--in", str(tmp_path)], f"[Errno 21] Is a directory: '{tmp_path}'"),
+    ):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
     matrix_path = tmp_path / "matrix.json"
     matrix_path.write_text(dumps(canonical(4).to_dict()))
     for atoms in (
@@ -711,17 +675,22 @@ def test_flag_values_must_be_positive(capsys, monkeypatch):
     for argv in (
         ["check", "preclean", "--tol", "0"],
         ["check", "sharp", "--tol", "-0.1"],
-        ["check", "uequiv", "--tol", "nan", "--other", "-"],
+        ["check", "uequiv", "--other", "-", "--tol", "nan"],
         ["density", "--coherent", "1.0", "--grid", "0"],
         ["channel-identity", "--grid", "0"],
         ["gen", "canonical", "--dim", "0"],
         ["oracle-et", "--dim", "0"],
         ["oracle-et", "--tol=-1e-6"],
+        ["channel-identity", "--trials", "0"],
+        ["channel-identity", "--trials", "-2"],
+        ["oracle-et", "--r-max", "-1"],
+        ["oracle-et", "--quad-points", "0"],
     ):
         monkeypatch.setattr("sys.stdin", io.StringIO(gen_out))
         assert main(argv) == 1, argv
         captured = capsys.readouterr()
-        assert captured.out == "" and "must be positive" in captured.err, argv
+        flag = [a for a in argv if a.startswith("--")][-1].split("=")[0]
+        assert captured.out == "" and f"{flag} must be positive" in captured.err, argv
     # the tolerance used is the one reported
     code, out = run_cli_stdin(capsys, monkeypatch, gen_out, "check", "preclean", "--tol", "0.25")
     assert json.loads(out)["tolerances"] == {"tail_modulus": 0.25}
@@ -731,6 +700,28 @@ def test_flag_values_must_be_positive(capsys, monkeypatch):
         assert main(["check", criterion, "--tol", "0.5"]) == 1, criterion
         message = f"error: check {criterion} takes no --tol; it uses EPS_RANK = 1e-09\n"
         assert capsys.readouterr() == ("", message), criterion
+    # a unary criterion refuses --other without opening it, a binary one needs it
+    for criterion in ("sharp", "extremal", "rank", "preclean"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(gen_out))
+        assert main(["check", criterion, "--other", "/nonexistent.json"]) == 1, criterion
+        message = f"error: check {criterion} takes no --other\n"
+        assert capsys.readouterr() == ("", message), criterion
+    for criterion in ("uequiv", "postclass"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(gen_out))
+        assert main(["check", criterion]) == 1, criterion
+        assert capsys.readouterr() == ("", f"error: check {criterion} requires --other\n")
+    # a negative depth is a bad flag, not a not-state-generated verdict
+    monkeypatch.setattr("sys.stdin", io.StringIO(gen_out))
+    assert main(["recover-state", "--depth", "-1", "--assert"]) == 1
+    assert capsys.readouterr() == ("", "error: depth must be non-negative, got -1\n")
+
+
+def test_settings_come_from_flags_alone(capsys):
+    # there is no config file or --config flag: naming one is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", "x", "gen", "canonical"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: phaseopt")
 
 
 def test_dimension_mismatch_is_explicit(tmp_path, capsys, monkeypatch):

@@ -108,27 +108,49 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# every pinned command runs in both settings.  "hostile" is a working
+# directory holding a phaseopt.cfg plus PHASEOPT_DIM in the environment, the
+# two places an earlier release read defaults from; were either read again,
+# the tolerance uequiv reports and the depth recover-state uses would move.
+HOSTILE_CFG = "dim = 3\ngrid = 3\ntol_equiv = 0.5\nrecovery_depth = 0\n"
+SETTINGS = {"clean": {}, "hostile": {"PHASEOPT_DIM": "5"}}
+
+
 @pytest.fixture(scope="module")
-def workdir(tmp_path_factory):
-    path = tmp_path_factory.mktemp("golden")
-    for name, payload in INPUTS.items():
-        (path / name).write_text(json.dumps(payload))
-    return path
+def workdirs(tmp_path_factory):
+    """One input directory per setting; the hostile one also holds a phaseopt.cfg."""
+    paths = {}
+    for setting in SETTINGS:
+        path = paths[setting] = tmp_path_factory.mktemp(f"golden-{setting}")
+        for name, payload in INPUTS.items():
+            (path / name).write_text(json.dumps(payload))
+    (paths["hostile"] / "phaseopt.cfg").write_text(HOSTILE_CFG)
+    return paths
+
+
+def enter(setting, workdirs, monkeypatch):
+    monkeypatch.chdir(workdirs[setting])
+    monkeypatch.delenv("PHASEOPT_DIM", raising=False)
+    for var, value in SETTINGS[setting].items():
+        monkeypatch.setenv(var, value)
+    return workdirs[setting]
 
 
 @pytest.mark.parametrize("name", list(GEN))
-def test_gen_bytes_are_pinned(name, workdir, monkeypatch):
-    monkeypatch.chdir(workdir)
+def test_gen_bytes_are_pinned(name, workdirs, monkeypatch):
     command, expected = GEN[name]
-    out = stdout_of(command)
-    (workdir / f"{name}.json").write_text(out)
-    assert digest(out) == expected
+    for setting in SETTINGS:
+        workdir = enter(setting, workdirs, monkeypatch)
+        out = stdout_of(command)
+        (workdir / f"{name}.json").write_text(out)
+        assert digest(out) == expected, setting
 
 
 @pytest.mark.parametrize("command", list(PIPES))
-def test_pipeline_bytes_are_pinned(command, workdir, monkeypatch):
-    monkeypatch.chdir(workdir)
-    for name, (gen, _) in GEN.items():
-        if not (workdir / f"{name}.json").exists():
-            (workdir / f"{name}.json").write_text(stdout_of(gen))
-    assert digest(stdout_of(command)) == PIPES[command]
+def test_pipeline_bytes_are_pinned(command, workdirs, monkeypatch):
+    for setting in SETTINGS:
+        workdir = enter(setting, workdirs, monkeypatch)
+        for name, (gen, _) in GEN.items():
+            if not (workdir / f"{name}.json").exists():
+                (workdir / f"{name}.json").write_text(stdout_of(gen))
+        assert digest(stdout_of(command)) == PIPES[command], setting

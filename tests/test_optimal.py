@@ -301,6 +301,16 @@ def test_recover_at_default_depth_despite_tiny_denominators():
     assert np.abs(got - padded).max() < 1e-10
 
 
+def test_recover_depth_out_of_range_is_an_input_error():
+    # neither bound is a verdict about the matrix: both raise ValueError
+    m = state_generated([1.0], 8)
+    for depth, message in ((-1, "depth must be non-negative, got -1"),
+                           (3, "depth 3 needs dimension > 8")):
+        with pytest.raises(ValueError, match=message) as exc:
+            recover_state(m, depth=depth)
+        assert not isinstance(exc.value, NotStateGeneratedError)
+
+
 def test_recover_canonical_is_rejected():
     with pytest.raises(NotStateGeneratedError):
         recover_state(canonical(32))

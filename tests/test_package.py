@@ -1,11 +1,13 @@
 """The public surface of the ``phaseopt`` package."""
 
+import argparse
+import importlib
 import inspect
 import re
-from dataclasses import fields
 from pathlib import Path
 
 import phaseopt
+from phaseopt import cli
 
 # an addition to or a removal from the package namespace is an API change: it
 # must show up here, in review, as a diff
@@ -13,7 +15,6 @@ PUBLIC_NAMES = [
     "Arc",
     "CircleMeasure",
     "CoherentVector",
-    "Config",
     "CovariantChannelSpec",
     "CriterionInapplicableError",
     "DensityMatrix",
@@ -44,7 +45,6 @@ PUBLIC_NAMES = [
     "from_eta",
     "gram_factor",
     "identity_channel_spec",
-    "load_config",
     "number_unitary",
     "post_equiv_class",
     "preclean_check",
@@ -71,17 +71,48 @@ def test_package_exports_exactly_the_pinned_names():
     assert exported == PUBLIC_NAMES
 
 
-# each Config field is a user-visible setting (a config-file key); adding or
-# retiring one is a CLI change and must show up here as a diff
-CONFIG_DEFAULTS = {"dim": 64, "tol_equiv": 1e-10, "grid": 512, "recovery_depth": None}
+# the defaults the README flag table documents: the former config-file
+# settings (truncation dimension, density grid, recovery depth) and every
+# check --tol; a new defaulted setting must show up here as a diff
+DOCUMENTED_FLAGS = [
+    "gen --dim",
+    "density --grid",
+    "channel-identity --grid",
+    "recover-state --depth",
+    "check sharp --tol",
+    "check preclean --tol",
+    "check uequiv --tol",
+    "check postclass --tol",
+]
 
 
-def test_config_fields_are_pinned():
-    assert {f.name: f.default for f in fields(phaseopt.Config)} == CONFIG_DEFAULTS
+def _flag_default(invocation: str):
+    """The value a left-out flag takes: the parser's default, or for check --tol the check table's."""
+    *words, flag = invocation.split()
+    if words[0] == "check":
+        return cli._CHECKS[words[1]][0]
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[words[0]].get_default(flag.lstrip("-"))
 
 
 def test_readme_configuration_table_lists_exactly_the_config_keys():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    table = readme.split("| key | default | from |\n", 1)[1].split("\n\n", 1)[0]
-    keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
-    assert keys == list(CONFIG_DEFAULTS)
+    table = readme.split("| flag | default | from |\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    listed = []
+    for row in table.splitlines():
+        flags, default, source = (cell.strip() for cell in row.strip("|").split("|"))
+        for invocation in re.findall(r"`([^`]+)`", flags):
+            listed.append(invocation)
+            value = _flag_default(invocation)
+            if value is None:  # resolved from the matrix's dimension
+                assert source == "`optimal.recovery_depth(D)`", invocation
+                continue
+            assert float(default) == value, invocation
+            constant = re.fullmatch(r"`(\w+)\.([A-Z_]+)`", source)
+            if constant:
+                module = importlib.import_module(f"phaseopt.{constant[1]}")
+                assert getattr(module, constant[2]) == value, invocation
+    assert listed == DOCUMENTED_FLAGS
+    tolerant = [f"check {c} --tol" for c, (tol, _) in cli._CHECKS.items() if tol is not None]
+    assert sorted(tolerant) == sorted(f for f in listed if f.startswith("check "))
