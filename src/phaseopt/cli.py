@@ -73,6 +73,21 @@ from .phase_matrix import (
 __all__ = ["main", "run", "CliError"]
 
 
+# Upper bounds on the size flags, so that a typo is refused instead of exhausting the machine.
+# memory: a D x D complex matrix takes 16 D^2 bytes (4 MB at 512) and its JSON text up to
+# twice that; 512 is above the index 300 to which the kernel's unit diagonal is guaranteed
+MAX_DIM = 512
+# memory: density builds a grid x (2D - 1) complex table, 64 MB at MAX_DIM
+MAX_GRID = 4096
+# time: leggauss solves an n x n eigenproblem, and the oracle visits every radial node
+# for each of its 2D + 1 angles
+MAX_QUAD_POINTS = 1024
+# time: each trial draws a random state and evaluates two densities
+MAX_TRIALS = 1000
+_FLAG_MAX = {"dim": MAX_DIM, "grid": MAX_GRID, "quad_points": MAX_QUAD_POINTS,
+             "trials": MAX_TRIALS}
+
+
 class CliError(Exception):
     """Bad input surfaced as a diagnostic and exit code 1."""
 
@@ -216,6 +231,8 @@ def _cmd_norm_sweep(args) -> int:
             raise ValueError
     except ValueError:
         raise CliError(f"--dims must list positive integers, got {args.dims!r}")
+    if max(dims) > MAX_DIM:
+        raise CliError(f"--dims entries must be at most {MAX_DIM}, got {args.dims!r}")
     rows = [(d, effect_norm(_family_matrix(args, d), arc)) for d in dims]
     _emit(sweep_csv(rows), args.out)
     return 0
@@ -585,9 +602,11 @@ def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         for flag in ("dim", "grid", "tol", "trials", "r_max", "quad_points"):
-            value = getattr(args, flag, None)
+            value, name = getattr(args, flag, None), "--" + flag.replace("_", "-")
             if value is not None and not value > 0:
-                raise CliError(f"--{flag.replace('_', '-')} must be positive, got {value}")
+                raise CliError(f"{name} must be positive, got {value}")
+            if value is not None and value > _FLAG_MAX.get(flag, value):
+                raise CliError(f"{name} must be at most {_FLAG_MAX[flag]}, got {value}")
         return args.func(args)
     except (CliError, ValueError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._serialize import matrix_from_dict, matrix_to_dict
-from .phase_matrix import PhaseMatrix, _mirror_lower, _toeplitz
+from .phase_matrix import PhaseMatrix, _mirror_lower, _probability_vector, _toeplitz
 from .specfun import displacement_element
 
 __all__ = [
@@ -190,14 +190,7 @@ class DiagonalState:
     weights: np.ndarray
 
     def __post_init__(self):
-        lam = np.asarray(self.weights, dtype=float).ravel()
-        if lam.size == 0:
-            raise ValueError("empty weight vector")
-        if lam.min() < -1e-12:
-            raise ValueError(f"negative weight {lam.min()}")
-        if abs(lam.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {lam.sum()}, expected 1")
-        lam = np.clip(lam, 0.0, None)
+        lam = np.clip(_probability_vector(self.weights), 0.0, None)
         last = int(np.nonzero(lam)[0][-1]) if lam.any() else 0
         lam = lam[: last + 1].copy()
         lam.flags.writeable = False

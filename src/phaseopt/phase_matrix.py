@@ -250,6 +250,19 @@ def chessboard(xi: complex, dim: int) -> PhaseMatrix:
     return PhaseMatrix(c)
 
 
+def _probability_vector(weights) -> np.ndarray:
+    """The weights as a flat float array; ValueError unless they are a probability vector.
+
+    Entries may dip to -1e-12 and the sum may miss 1 by 1e-12; the test is
+    written so that a NaN fails it.
+    """
+    lam = np.asarray(weights, dtype=float).ravel()
+    if not (lam.size and lam.min() >= -1e-12 and abs(lam.sum() - 1.0) <= 1e-12):
+        shown = np.array2string(lam, separator=", ", threshold=8)
+        raise ValueError(f"weights must be a probability vector, got {shown}")
+    return lam
+
+
 def state_generated(weights, dim: int) -> PhaseMatrix:
     """Phase matrix of the observable generated by a diagonal state.
 
@@ -258,9 +271,7 @@ def state_generated(weights, dim: int) -> PhaseMatrix:
     beyond ``LEVEL_CUTOFF`` raises :class:`TruncationError` rather than
     truncating silently.
     """
-    lam = np.asarray(getattr(weights, "weights", weights), dtype=float).ravel()
-    if lam.size == 0 or lam.min() < -1e-12 or abs(lam.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must be a probability vector")
+    lam = _probability_vector(getattr(weights, "weights", weights))
     support = np.nonzero(lam > 0)[0]
     if support.size and support[-1] >= LEVEL_CUTOFF:
         raise TruncationError(

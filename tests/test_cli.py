@@ -650,6 +650,16 @@ def test_malformed_input_is_diagnosed(tmp_path, capsys, monkeypatch):
         (["gen", "state", "--levels", "x@0"], "level spec 'x@0' is not 'weight@level'"),
         (["norm-sweep", "--arc", "x:1"], "arc component 'x:1' is not 'start:length'"),
         (["validate", "--in", str(tmp_path)], f"[Errno 21] Is a directory: '{tmp_path}'"),
+        (["gen", "state", "--levels", "nan@0,1@1", "--dim", "4"],
+         "weights must be a probability vector, got [nan,  1.]"),
+        (["oracle-et", "--levels", "nan@0,1@1"], "weights must be a probability vector, got [nan,  1.]"),
+        (["gen", "canonical", "--dim", "513"], "--dim must be at most 512, got 513"),
+        (["oracle-et", "--dim", "513"], "--dim must be at most 512, got 513"),
+        (["norm-sweep", "--dims", "4,513"], "--dims entries must be at most 512, got '4,513'"),
+        (["density", "--coherent", "1.0", "--grid", "4097"], "--grid must be at most 4096, got 4097"),
+        (["channel-identity", "--grid", "4097"], "--grid must be at most 4096, got 4097"),
+        (["oracle-et", "--quad-points", "1025"], "--quad-points must be at most 1024, got 1025"),
+        (["channel-identity", "--trials", "1001"], "--trials must be at most 1000, got 1001"),
     ):
         assert main(argv) == 1, argv
         assert capsys.readouterr() == ("", f"error: {message}\n"), argv

@@ -165,6 +165,14 @@ def test_diagonal_state_support():
         DiagonalState([0.7, 0.7])
 
 
+@pytest.mark.parametrize(
+    "weights", [[math.nan, 1.0], [math.nan], [0.5, math.inf], [], [-0.5, 1.5], [0.5, 0.4]]
+)
+def test_diagonal_state_refuses_non_probability_weights(weights):
+    with pytest.raises(ValueError, match="weights must be a probability vector"):
+        DiagonalState(weights)
+
+
 def test_coherent_vector_truncation_guard():
     for z in (1.0, 2.5, 4.0 + 1.0j):
         dim = math.ceil(abs(z) ** 2 + 8 * abs(z) + 16)

@@ -31,6 +31,7 @@ from phaseopt.phase_matrix import (
     chessboard,
     example4,
     example5,
+    from_eta,
     gram_factor,
     state_generated,
     translate,
@@ -242,6 +243,76 @@ def test_extremal_random_eta_mixtures_never_extremal():
         alpha = float(rng.uniform(0.2, 0.8))
         mix = PhaseMatrix(alpha * fams[0].entries + (1 - alpha) * fams[1].entries)
         assert not extremal_check(gram_factor(mix)).extremal
+
+
+def _svd_span(eta):
+    """Reference span count: numerical rank of the D x r^2 stack of flattened projectors."""
+    rows = np.array([np.outer(v, v.conj()).reshape(-1) for v in eta.vectors])
+    sv = np.linalg.svd(rows, compute_uv=False)
+    return int((sv > 1e-8 * sv[0]).sum())
+
+
+def _random_eta(rng, dim, rank):
+    v = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    return from_eta(v / np.linalg.norm(v, axis=1)[:, None])
+
+
+_SPAN_FAMILIES = {
+    "canonical": canonical,
+    "chessboard-real": lambda d: chessboard(0.5, d),
+    "chessboard-complex": lambda d: chessboard(0.3 + 0.4j, d),
+    "example4": lambda d: example4(3, d),
+    "example5": example5,
+    **{f"state-s{s}": (lambda d, s=s: state_generated([0.0] * s + [1.0], d)) for s in (0, 1, 3, 9)},
+    **{
+        f"random-rank{r}": (lambda d, r=r: _random_eta(np.random.default_rng(r), d, r))
+        for r in (2, 3, 4, 5)
+    },
+}
+
+
+@pytest.mark.parametrize("dim", [16, 64])
+@pytest.mark.parametrize("family", list(_SPAN_FAMILIES))
+def test_extremal_verdict_matches_svd_span(family, dim):
+    eta = gram_factor(_SPAN_FAMILIES[family](dim))
+    rep = extremal_check(eta)
+    assert rep.rank == eta.rank and rep.required == eta.rank ** 2
+    assert rep.extremal == (_svd_span(eta) == eta.rank ** 2)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("eps2", [1e-5, 1e-7])
+def test_extremal_near_degenerate_complex_family(rank, eps2):
+    """Rows (1, eps z_n) normalised: C's kept eigenvalues spread by eps^2.
+
+    The raw |C|^2 Gram matrix spreads them by eps^4, below EPS_RANK, and
+    would call these families not extremal.
+    """
+    rng = np.random.default_rng(17)
+    z = rng.normal(size=(32, rank - 1)) + 1j * rng.normal(size=(32, rank - 1))
+    v = np.hstack([np.ones((32, 1)), math.sqrt(eps2) * z])
+    eta = gram_factor(from_eta(v / np.linalg.norm(v, axis=1)[:, None]))
+    rep = extremal_check(eta)
+    assert rep.rank == rank and rep.span_dim == rank ** 2 and rep.extremal
+    assert _svd_span(eta) == rank ** 2
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        chessboard(0.5, 24).entries,
+        example4(3, 24).entries,
+        state_generated([1.0], 24).entries,
+        state_generated([0.3, 0.3, 0.4], 48).entries,
+        *(_random_eta(np.random.default_rng(r), 24, r).entries.real for r in (3, 4)),
+    ],
+    ids=["chessboard", "example4", "vacuum", "mixture", "real-part-rank3", "real-part-rank4"],
+)
+def test_real_entries_span_at_most_symmetric_dimension(matrix):
+    """Real projectors span only symmetric operators: span_dim <= r(r+1)/2 < r^2."""
+    rep = extremal_check(gram_factor(PhaseMatrix(matrix)))
+    assert rep.span_dim <= rep.rank * (rep.rank + 1) // 2
+    assert not rep.extremal or rep.rank == 1
 
 
 def test_real_shortcut_on_state_generated():

@@ -147,6 +147,15 @@ def test_state_generated_truncation_error_is_loud():
         state_generated(weights, 16)
 
 
+@pytest.mark.parametrize(
+    "weights", [[math.nan, 1.0], [math.nan], [0.5, math.inf], [], [-0.5, 1.5], [0.5, 0.4]]
+)
+def test_state_generated_refuses_non_probability_weights(weights):
+    # a NaN weight once slipped past every comparison and was dropped from the support
+    with pytest.raises(ValueError, match="weights must be a probability vector"):
+        state_generated(weights, 4)
+
+
 def test_state_generated_rank_grows_with_dimension():
     ranks = [gram_factor(state_generated([1.0], d)).rank for d in (8, 16, 32, 64)]
     assert all(a < b for a, b in zip(ranks, ranks[1:]))
