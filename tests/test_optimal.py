@@ -231,8 +231,6 @@ def test_extremal_proper_mixture_is_never_extremal():
 
 
 def test_extremal_random_eta_mixtures_never_extremal():
-    from phaseopt.phase_matrix import from_eta
-
     rng = np.random.default_rng(55)
     for _ in range(4):
         fams = []
