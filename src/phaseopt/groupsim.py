@@ -16,6 +16,8 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
+from .phase_matrix import psd_certified
+
 __all__ = [
     "CyclicRep",
     "FiniteCovariantObservable",
@@ -147,7 +149,7 @@ class FiniteCovariantObservable:
             raise ValueError("seed shape does not match the representation")
         if np.abs(seed - seed.conj().T).max() > _EPS_EFFECT:
             raise ValueError("seed must be Hermitian")
-        if np.linalg.eigvalsh(seed)[0] < -_EPS_EFFECT:
+        if not psd_certified(seed, _EPS_EFFECT):
             raise ValueError("seed must be positive semidefinite")
         effects = [rep.unitary(x) @ seed @ rep.unitary(x).conj().T for x in range(rep.order)]
         total = sum(effects)
@@ -336,7 +338,7 @@ def is_channel(superop: np.ndarray, tol: float = 1e-10) -> bool:
     choi = choi_matrix(superop)
     if np.abs(choi - choi.conj().T).max() > tol:
         return False
-    if np.linalg.eigvalsh(choi)[0] < -tol:
+    if not psd_certified(choi, tol):
         return False
     # partial trace of the Choi matrix over the output slot must be I
     ptrace = choi.reshape(d, d, d, d).trace(axis1=1, axis2=3)

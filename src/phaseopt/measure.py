@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._serialize import matrix_from_dict, matrix_to_dict
-from .phase_matrix import PhaseMatrix, _mirror_lower, _probability_vector, _toeplitz
+from .phase_matrix import PhaseMatrix, _mirror_lower, _probability_vector, _toeplitz, psd_certified
 from .specfun import displacement_element
 
 __all__ = [
@@ -152,12 +152,14 @@ class DensityMatrix:
         rho = np.asarray(self.entries, dtype=np.complex128)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError("state must be a square matrix")
+        if not np.isfinite(rho).all():
+            raise ValueError("state entries must be finite")
         if np.abs(rho - rho.conj().T).max() > 1e-12:
             raise ValueError("state is not Hermitian")
         rho = _mirror_lower(rho)
         if abs(rho.trace().real - 1.0) > 1e-10:
             raise ValueError(f"state trace {rho.trace().real} is not 1")
-        if np.linalg.eigvalsh(rho)[0] < -1e-10:
+        if not psd_certified(rho, 1e-10):
             raise ValueError("state is not positive semidefinite")
         rho.flags.writeable = False
         object.__setattr__(self, "entries", rho)

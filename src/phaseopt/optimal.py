@@ -493,7 +493,8 @@ class CovariantChannelSpec:
         if phi.ndim != 3 or phi.shape[0] != phi.shape[1]:
             raise ValueError("phi must have shape (D, D, aux)")
         weights = (np.abs(phi) ** 2).sum(axis=(1, 2))
-        if np.abs(weights - 1.0).max() > 1e-10:
+        # written so that a NaN weight fails it
+        if not np.abs(weights - 1.0).max() <= 1e-10:
             raise ValueError("each q-slice of phi must carry unit total weight")
         phi.flags.writeable = False
         object.__setattr__(self, "phi", phi)

@@ -23,6 +23,7 @@ __all__ = [
     "EPS_GRAM",
     "EPS_EQUIV",
     "ValidationReport",
+    "psd_certified",
     "validate",
     "PhaseMatrix",
     "EtaSystem",
@@ -61,7 +62,8 @@ class ValidationReport:
     dim: int
     hermiticity_dev: float
     diagonal_dev: float
-    min_eigenvalue: float
+    # -EPS_PSD when psd_certified held, None when it did not
+    min_eigenvalue_bound: Optional[float]
     max_modulus: float
     failures: tuple = ()
     witness: dict = field(default_factory=dict)
@@ -74,7 +76,7 @@ class ValidationReport:
             "dim": self.dim,
             "hermiticity_dev": self.hermiticity_dev,
             "diagonal_dev": self.diagonal_dev,
-            "min_eigenvalue": self.min_eigenvalue,
+            "min_eigenvalue_bound": self.min_eigenvalue_bound,
             "max_modulus": self.max_modulus,
             "failures": list(self.failures),
             "witness": self.witness,
@@ -93,12 +95,34 @@ def _toeplitz(table: np.ndarray) -> np.ndarray:
     return table[np.subtract.outer(np.arange(d), np.arange(d)) + (d - 1)]
 
 
+def psd_certified(h: np.ndarray, eps: float) -> bool:
+    """True iff ``h`` is finite and ``h + eps * I`` has a Cholesky factor.
+
+    A successful factorization certifies that the Hermitian matrix whose
+    lower triangle ``h`` holds has no eigenvalue below ``-eps``, up to the
+    factorization's small backward error (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., ch. 10).  Finiteness is tested
+    here because LAPACK returns a NaN factor of a NaN matrix without
+    failing.  ``h`` is not modified.
+    """
+    if not np.isfinite(h).all():
+        return False
+    shifted = np.array(h, dtype=np.result_type(h, np.float64))
+    shifted[np.diag_indices_from(shifted)] += eps
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def validate(entries) -> ValidationReport:
     """Check Hermiticity, unit diagonal and positive semidefiniteness.
 
-    Eigenvalues down to ``-EPS_PSD`` and moduli up to ``1 + 10 * EPS_PSD``
-    pass.  Returns a verdict object rather than raising; the failed
-    condition and a witness (offending entry or eigenvalue) are reported.
+    PSD is decided by :func:`psd_certified` at ``EPS_PSD``; moduli up to
+    ``1 + 10 * EPS_PSD`` pass.  Returns a verdict object rather than
+    raising; the failed condition and a witness (offending entry, or the
+    ``eigvalsh`` minimum of a matrix that did not factorize) are reported.
     """
     a = np.asarray(entries, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
@@ -115,7 +139,7 @@ def validate(entries) -> ValidationReport:
             dim=dim,
             hermiticity_dev=float("nan"),
             diagonal_dev=float("nan"),
-            min_eigenvalue=float("nan"),
+            min_eigenvalue_bound=None,
             max_modulus=float("nan"),
             failures=("finite",),
             witness=witness,
@@ -134,10 +158,10 @@ def validate(entries) -> ValidationReport:
         witness["diagonal_index"] = int(np.abs(np.diag(a) - 1.0).argmax())
 
     h = _mirror_lower(a)
-    min_eig = float(np.linalg.eigvalsh(h)[0])
-    if min_eig < -EPS_PSD:
+    psd = psd_certified(h, EPS_PSD)
+    if not psd:
         failures.append("psd")
-        witness["min_eigenvalue"] = min_eig
+        witness["min_eigenvalue"] = float(np.linalg.eigvalsh(h)[0])
 
     mods = np.abs(a)
     max_mod = float(mods.max())
@@ -151,7 +175,7 @@ def validate(entries) -> ValidationReport:
         dim=dim,
         hermiticity_dev=herm_dev,
         diagonal_dev=diag_dev,
-        min_eigenvalue=min_eig,
+        min_eigenvalue_bound=-EPS_PSD if psd else None,
         max_modulus=max_mod,
         failures=tuple(failures),
         witness=witness,

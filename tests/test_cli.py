@@ -665,6 +665,9 @@ def test_malformed_input_is_diagnosed(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr() == ("", f"error: {message}\n"), argv
     matrix_path = tmp_path / "matrix.json"
     matrix_path.write_text(dumps(canonical(4).to_dict()))
+    path.write_text('{"dim": 2, "entries": [[0.5, 0], [NaN, 0], [0, 0], [0.5, 0]]}')
+    assert main(["density", "--state-file", str(path), "--in", str(matrix_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: state entries must be finite\n")
     for atoms in (
         5,
         [[0.0, 1.0]],

@@ -3,9 +3,10 @@
 The digests were captured from an earlier release of the package, so any
 change to an emitted byte (float formatting, field order, a tolerance
 default, the matrix codec) fails here, not only run-to-run drift.  Outputs
-whose floats come out of LAPACK (validate's min_eigenvalue, norm-sweep,
-extremal residuals) are left out, because BLAS/LAPACK builds can differ
-by an ulp there.
+whose floats come out of LAPACK (norm-sweep, extremal residuals) are left
+out, because BLAS/LAPACK builds can differ by an ulp there.  A passing
+validate report holds none: its min_eigenvalue_bound is the constant
+-EPS_PSD that the Cholesky certificate proves.
 """
 
 import contextlib
@@ -71,6 +72,10 @@ GEN = {
 }
 
 PIPES = {
+    "validate --in canonical.json":
+        "34f439b33391ec987b7fc619703b333ccccb561a802a069fdf2d7c7871ed7540",
+    "validate --in state.json":
+        "34f439b33391ec987b7fc619703b333ccccb561a802a069fdf2d7c7871ed7540",
     "check sharp --in example5.json":
         "9cf8baf33c21935d2a5e0b4068b41fcf1b1914ba3647f996e3e4b282a3ec3cc9",
     "check sharp --tol 0.3 --in chessboard.json":

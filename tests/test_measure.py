@@ -157,6 +157,14 @@ def test_density_matrix_validation():
     assert rho.dim == 2
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_density_matrix_refuses_nonfinite_entries(bad):
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    rho[1, 0] = bad
+    with pytest.raises(ValueError, match="state entries must be finite"):
+        DensityMatrix(rho)
+
+
 def test_diagonal_state_support():
     s = DiagonalState([0.0, 0.25, 0.75, 0.0])
     assert s.support_max == 2

@@ -501,6 +501,14 @@ def random_channel_spec(dim: int, rng, aux_dim: int = 2) -> CovariantChannelSpec
     return CovariantChannelSpec(phi / norms[:, None, None])
 
 
+def test_channel_spec_refuses_nan_weight():
+    phi = np.zeros((3, 3, 1), dtype=complex)
+    phi[np.arange(3), np.arange(3), 0] = 1.0
+    phi[1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="unit total weight"):
+        CovariantChannelSpec(phi)
+
+
 def test_preprocess_random_spec_yields_valid_matrix():
     rng = np.random.default_rng(3)
     for _ in range(3):
