@@ -10,6 +10,7 @@ stdin/stdout so checks compose as shell pipes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -517,6 +518,8 @@ def _run_groupsim_check(name, rep, obs, nu, seed2, scn, rng) -> dict:
 # --- parser -------------------------------------------------------------------
 
 
+# built once per process: parse_args fills a fresh Namespace on every call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phaseopt",

@@ -9,6 +9,7 @@ sweeps are exhaustive.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -43,13 +44,14 @@ __all__ = [
 ]
 
 # Largest group order N whose 2^N - 1 outcome subsets are swept: one cached
-# float per subset is 8 MiB per observable at N = 20.
+# float per subset per observable (8 MiB at N = 20) plus one int32 orbit
+# index per N (4 MiB at N = 20).
 MAX_SWEEP_ORDER = 20
 # Largest group order N of a scenario file: the covariance checks make N^2
 # products of dim x dim matrices, 0.75 s each at N = 256 and dim 3 (3.2 s at
 # N = 512) on a 2-core Xeon.
 MAX_SCENARIO_ORDER = 256
-# Subset sums are stacked 2^_BLOCK_BITS at a time for each eigvalsh call.
+# Orbit representatives are stacked 2^_BLOCK_BITS at a time for each eigvalsh call.
 _BLOCK_BITS = 9
 # entrywise slack of an observable's seed and effects (Hermitian, PSD,
 # resolution of the identity, pullback through a channel) and of norm growth
@@ -164,27 +166,43 @@ class FiniteCovariantObservable:
         return self._effects[x % self.rep.order]
 
     def effect_set(self, subset: Iterable[int]) -> np.ndarray:
+        """``E(X)`` summed from zeros through X in the given order.
+
+        ``subset`` must pass :func:`outcome_subset`.
+        """
         out = np.zeros((self.rep.dim, self.rep.dim), dtype=np.complex128)
-        for x in subset:
-            out = out + self.effect(x)
+        for x in outcome_subset(subset, self.rep.order):
+            out = out + self._effects[x]
         return out
 
     def norm(self, subset: Iterable[int]) -> float:
-        subset = list(subset)
-        if not subset:
+        """``|E(X)|``, read as ``|E(R)|`` with R the least rotation of X.
+
+        Covariance gives ``E(X + g) = U(g) E(X) U(g)^*``, so every rotation
+        of X has the same norm in exact arithmetic; reading the one
+        representative of X's cyclic orbit, summed in ascending order, is
+        the rule ``subset_norms`` sweeps by, so the two agree bit for bit.
+        ``subset`` must pass :func:`outcome_subset`.
+        """
+        n = self.rep.order
+        mask = sum(1 << x for x in outcome_subset(subset, n))
+        if not mask:
             return 0.0
-        return float(np.linalg.eigvalsh(self.effect_set(subset))[-1])
+        least = min(((mask << g) | (mask >> (n - g))) & ((1 << n) - 1) for g in range(n))
+        elements = [x for x in range(n) if least >> x & 1]
+        return float(np.linalg.eigvalsh(self.effect_set(elements))[-1])
 
     def subset_norms(self) -> np.ndarray:
         """``|E(X)|`` for every subset X of Z_N, indexed by the bitmask of X.
 
-        Entry ``mask`` equals ``self.norm(X)`` bit for bit, X being the
-        elements whose bits are set: every sum starts from zeros and adds
-        the effects in ascending order, as ``effect_set`` does, and the
-        stacked ``eigvalsh`` runs the same LAPACK call on each matrix.
-        Sums over the low bits are built once by doubling; each high part
-        adds its effects to that block.  Computed on first use, then cached
-        read-only.  Raises ValueError above ``MAX_SWEEP_ORDER``.
+        One ``eigvalsh`` row per cyclic orbit of subsets: the binary
+        necklace count (1/N) sum_{k | N} phi(k) 2^(N/k) less the empty
+        orbit, 59 rows instead of 511 at N = 9.  Each representative (the
+        least rotation of its masks) is summed from zeros through its
+        elements in ascending order, as ``norm`` does, so entry ``mask``
+        equals ``self.norm(X)`` bit for bit, X being the elements whose
+        bits are set.  Computed on first use, then cached read-only.
+        Raises ValueError above ``MAX_SWEEP_ORDER``.
         """
         if self._subset_norms is None:
             n, d = self.rep.order, self.rep.dim
@@ -193,24 +211,46 @@ class FiniteCovariantObservable:
                     f"group order N = {n} is above the subset-sweep limit "
                     f"{MAX_SWEEP_ORDER} (2^N - 1 subsets)"
                 )
-            low = min(n, _BLOCK_BITS)
-            sums = np.zeros((1 << low, d, d), dtype=np.complex128)
-            for k in range(low):
-                np.add(sums[: 1 << k], self._effects[k], out=sums[1 << k : 2 << k])
-            out = np.empty(1 << n)
+            reps, index = _orbits(n)
+            norms = np.zeros(len(reps))  # norms[0], the empty mask, stays 0.0
             # one reused buffer: above malloc's mmap threshold (128 KiB by
             # default) each fresh 512 x d x d temporary costs page faults
-            block = np.empty_like(sums)
-            for high in range(1 << (n - low)):
-                np.copyto(block, sums)
-                for k in range(low, n):
-                    if high >> (k - low) & 1:
-                        block += self._effects[k]
-                out[high << low : (high + 1) << low] = np.linalg.eigvalsh(block)[:, -1]
-            out[0] = 0.0
+            block = np.empty((min(len(reps) - 1, 1 << _BLOCK_BITS), d, d), dtype=np.complex128)
+            for start in range(1, len(reps), len(block)):
+                chunk = reps[start : start + len(block)]
+                sums = block[: len(chunk)]
+                sums.fill(0.0)
+                for k in range(n):
+                    has_k = (chunk >> k & 1).astype(bool)[:, None, None]
+                    np.add(sums, self._effects[k], out=sums, where=has_k)
+                norms[start : start + len(chunk)] = np.linalg.eigvalsh(sums)[:, -1]
+            out = norms[index]
             out.flags.writeable = False
             self._subset_norms = out
         return self._subset_norms
+
+
+@functools.cache
+def _orbits(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Cyclic orbits of the n-bit masks as ``(reps, index)``.
+
+    ``reps`` lists each orbit's least rotation in ascending order, so
+    ``reps[0]`` is the empty mask, and ``index[mask]`` is the position of
+    the mask's least rotation in ``reps``.  Cached per n; ``subset_norms``
+    keeps n <= MAX_SWEEP_ORDER, so at most 20 entries exist.
+    """
+    full = (1 << n) - 1
+    rot = np.arange(1 << n, dtype=np.int32)
+    least = rot.copy()
+    # n one-step rotations bring rot back to the masks; rot << 1 < 2^21 fits int32
+    for _ in range(n):
+        rot <<= 1
+        np.subtract(rot, full, out=rot, where=rot > full)
+        np.minimum(least, rot, out=least)
+    is_rep = least == rot
+    reps, index = np.flatnonzero(is_rep), (np.cumsum(is_rep, dtype=np.int32) - 1)[least]
+    reps.flags.writeable = index.flags.writeable = False
+    return reps, index
 
 
 def make_covariant(rep: CyclicRep, seed: np.ndarray) -> FiniteCovariantObservable:

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from phaseopt.cli import run
+from phaseopt.cli import _build_parser, run
 
 INPUTS = {
     "vectors.json": {
@@ -159,3 +159,22 @@ def test_pipeline_bytes_are_pinned(command, workdirs, monkeypatch):
             if not (workdir / f"{name}.json").exists():
                 (workdir / f"{name}.json").write_text(stdout_of(gen))
         assert digest(stdout_of(command)) == PIPES[command], setting
+
+
+def test_one_process_runs_commands_through_one_parser(tmp_path, monkeypatch):
+    # the parser is built once per process, so nothing one command parses
+    # may reach the next: groupsim, gen, then the same groupsim again
+    monkeypatch.chdir(tmp_path)
+    scenario = {
+        "N": 6,
+        "weights": [0, 1, 2],
+        "seed": [[0.5, 0.1, 0.0], [0.1, 0.4, 0.05], [0.0, 0.05, 0.3]],
+        "nu": [0.5, 0.5, 0, 0, 0, 0],
+        "checks": ["additivity", "norm-bound", "mix-inequality", "pre-norm-depolarizing"],
+        "alpha": 0.25,
+    }
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    first = stdout_of("groupsim --scenario scenario.json")
+    assert digest(stdout_of("gen canonical --dim 8")) == GEN["canonical"][1]
+    assert stdout_of("groupsim --scenario scenario.json") == first
+    assert _build_parser() is _build_parser()

@@ -109,6 +109,25 @@ def test_observable_covariance_and_additivity():
                 assert np.abs(lhs - obs.effect((g + x) % n)).max() < 1e-12
 
 
+def test_norm_refuses_repeated_or_foreign_outcomes():
+    obs = finite_canonical(4)
+    # read mod 4, [0, 1, 2, 3, 0] counts {0} twice (a norm of 1.375) and [4] is {0}
+    for subset in ([0, 1, 2, 3, 0], [4], [-1], [0.0], 2):
+        with pytest.raises(ValueError, match="distinct outcomes 0..3"):
+            obs.norm(subset)
+    assert obs.norm([]) == 0.0
+    assert obs.norm([3, 1]) == obs.norm([1, 3])
+
+
+def test_effect_set_refuses_repeated_or_foreign_outcomes():
+    obs = finite_canonical(4)
+    for subset in ([0, 1, 2, 3, 0], [4], [-1], [0.0], 2):
+        with pytest.raises(ValueError, match="distinct outcomes 0..3"):
+            obs.effect_set(subset)
+    assert not obs.effect_set([]).any()
+    assert np.array_equal(obs.effect_set([2, 0]), obs.effect(2) + obs.effect(0))
+
+
 def test_faithful_seed_gives_nonzero_effects():
     rng = np.random.default_rng(23)
     obs = random_observable(rng, 8, 3)
@@ -428,7 +447,8 @@ def test_subset_norms_are_cached_and_reused(monkeypatch):
     convexity_check(obs, other, 0.4)
     pre_norm_check(obs, obs, kraus_to_superop([np.eye(3)]))
     assert obs.subset_norms() is first
-    assert [shape for shape in calls if len(shape) == 3] == [(2 ** 9, 3, 3)] * 2
+    # one row per nonempty cyclic orbit, by Burnside: (2^9 + 2 * 2^3 + 6 * 2) / 9 - 1
+    assert [shape for shape in calls if len(shape) == 3] == [(59, 3, 3)] * 2
 
 
 def test_sweeps_agree_with_the_per_subset_loop():
@@ -460,6 +480,80 @@ def test_pre_norm_names_the_first_subset_in_sweep_order():
         with pytest.raises(ValueError) as info:
             pre_norm_check(obs, pre, chan)
         assert str(info.value) == f"norm grew under preprocessing on {first}"
+
+
+def oracle_norms(obs):
+    """All 2^N subset norms: one einsum of the mask-bit matrix with the effects."""
+    n = obs.rep.order
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    effects = np.array([obs.effect(x) for x in range(n)])
+    return np.linalg.eigvalsh(np.einsum("mk,kij->mij", bits.astype(float), effects))[:, -1]
+
+
+def necklaces(n):
+    """Binary necklaces of length n, by Burnside: (1/n) sum_{k | n} phi(k) 2^(n/k)."""
+    phi = [sum(math.gcd(j, k) == 1 for j in range(1, k + 1)) for k in range(n + 1)]
+    return sum(phi[k] * 2 ** (n // k) for k in range(1, n + 1) if n % k == 0) // n
+
+
+def test_subset_norms_sweep_one_row_per_cyclic_orbit(monkeypatch):
+    assert [necklaces(n) for n in (1, 2, 3, 8, 9, 12, 14)] == [2, 3, 4, 36, 60, 352, 1182]
+    rng = np.random.default_rng(67)
+    real = np.linalg.eigvalsh
+    for n in (1, 2, 3, 8, 9, 12, 14):
+        masks = np.arange(2 ** n)
+        for d in range(1, 6):
+            obs = random_observable(rng, n, d)
+            want = oracle_norms(obs)
+            rows = []
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: rows.append(a.shape) or real(a))
+            got = obs.subset_norms()
+            monkeypatch.setattr(np.linalg, "eigvalsh", real)
+            assert sum(shape[0] for shape in rows) == necklaces(n) - 1, (n, d)
+            assert np.abs(got - want).max() <= 1e-13, (n, d)
+            for g in range(1, n):
+                turned = ((masks << g) | (masks >> (n - g))) & (2 ** n - 1)
+                assert np.array_equal(got[turned].view(np.uint64), got.view(np.uint64)), (n, d, g)
+
+
+def test_sweep_reports_match_the_oracle():
+    rng = np.random.default_rng(71)
+    for n in (3, 9, 12):
+        canon = finite_canonical(n)
+        # a translate of canon: a mixture saturates exactly where X meets X + 1
+        shifted = FiniteCovariantObservable(canon.rep, canon.effect(1))
+        other = make_covariant(canon.rep, random_observable(rng, n, n).seed)
+        for e1, e2, alpha in ((canon, shifted, 0.5), (canon, other, 0.3)):
+            o1, o2, om = (oracle_norms(obs)[1:] for obs in (e1, e2, mix(e1, e2, alpha)))
+            bound = alpha * o1 + (1 - alpha) * o2
+            report = convexity_check(e1, e2, alpha)
+            assert report["subsets"] == 2 ** n - 1
+            assert report["saturated"] == np.count_nonzero(om >= 1.0 - 1e-9)
+            assert abs(report["worst_slack"] - (bound - om).min()) <= 1e-13
+        assert 0 < convexity_check(canon, shifted, 0.5)["saturated"] < 2 ** n - 1
+        w = np.diag(np.exp(2j * np.pi * rng.random(n)))
+        unitary = FiniteCovariantObservable(other.rep, w.conj().T @ other.seed @ w)
+        flat = FiniteCovariantObservable(other.rep, np.eye(n) / n)
+        for pre, chan, equal in (
+            (unitary, unitary_channel(w), True),
+            (flat, depolarizing_channel(n), False),
+        ):
+            report = pre_norm_check(other, pre, chan)
+            assert report["subsets"] == 2 ** n - 1
+            gap = np.abs(oracle_norms(pre) - oracle_norms(other)).max()
+            assert report["norm_equal_everywhere"] == (not gap > 1e-9) == equal
+
+
+def test_sweep_at_the_order_limit_agrees_with_direct_eigvalsh():
+    rng = np.random.default_rng(73)
+    n = MAX_SWEEP_ORDER
+    obs = random_observable(rng, n, 3)
+    got = obs.subset_norms()
+    for mask in rng.integers(1, 2 ** n, 50):
+        subset = [x for x in range(n) if mask >> x & 1]
+        direct = np.linalg.eigvalsh(sum(obs.effect(x) for x in subset))[-1]
+        assert abs(got[mask] - direct) <= 1e-13, subset
+        assert got[mask] == obs.norm(subset)
 
 
 def test_sweeps_refuse_group_orders_above_the_limit():
