@@ -111,7 +111,7 @@ def test_observable_covariance_and_additivity():
 
 def test_norm_refuses_repeated_or_foreign_outcomes():
     obs = finite_canonical(4)
-    # read mod 4, [0, 1, 2, 3, 0] counts {0} twice (a norm of 1.375) and [4] is {0}
+    # read mod 4, [0, 1, 2, 3, 0] would count {0} twice (a norm above 1) and [4] be {0}
     for subset in ([0, 1, 2, 3, 0], [4], [-1], [0.0], 2):
         with pytest.raises(ValueError, match="distinct outcomes 0..3"):
             obs.norm(subset)
