@@ -110,9 +110,14 @@ def is_int(x) -> bool:
     return isinstance(x, Integral) and not isinstance(x, bool)
 
 
+def is_real(x) -> bool:
+    """A JSON number: a ``Real`` that is not a bool (NaN and infinities included)."""
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
 def is_finite_real(x) -> bool:
     """A finite JSON number: a ``Real``, not a bool, within the float range (so not NaN)."""
-    return isinstance(x, Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+    return is_real(x) and abs(x) <= sys.float_info.max
 
 
 def matrix_to_dict(a: np.ndarray) -> dict:

@@ -24,6 +24,7 @@ from ._serialize import (
     dumps,
     is_finite_real,
     is_int,
+    is_real,
     matrix_from_dict,
     sweep_csv,
 )
@@ -371,13 +372,27 @@ def _cmd_oracle_et(args) -> int:
     return _report(args, data, dev >= args.tol)
 
 
+def _scenario_cell(c):
+    """One seed entry: a number, an [re, im] pair of numbers, or null (read as NaN)."""
+    if c is None or is_real(c):
+        return c
+    if isinstance(c, list) and len(c) == 2 and all(map(is_real, c)):
+        return complex(*c)
+    raise ValueError(f"not a number or [re, im] pair: {c!r}")
+
+
 def _scenario_matrix(raw, dim: int, key: str = "seed") -> np.ndarray:
-    """Scenario seed: a dim x dim list of numbers or [re, im] pairs."""
-    try:
-        cells = [[complex(*c) if isinstance(c, list) else c for c in row] for row in raw]
-        arr = np.array(cells, dtype=np.complex128)
-    except (TypeError, ValueError):
-        arr = None
+    """Scenario seed: a dim x dim list of numbers or [re, im] pairs.
+
+    Bools, strings and lists other than pairs are refused; NaN and null pass
+    here and are refused as non-finite by the observable.
+    """
+    arr = None
+    if isinstance(raw, list) and all(isinstance(row, list) for row in raw):
+        try:
+            arr = np.array([[_scenario_cell(c) for c in row] for row in raw], dtype=np.complex128)
+        except (TypeError, ValueError, OverflowError):
+            pass
     if arr is None or arr.shape != (dim, dim):
         raise ValueError(f"{key} must be a {dim} x {dim} list of numbers or [re, im] pairs")
     return arr
@@ -392,7 +407,8 @@ _GROUPSIM_CHECKS = (
 def _groupsim_inputs(scn: dict) -> tuple:
     """Scenario, representation, observable, measure and second seed; ValueError if malformed.
 
-    Every scenario field is refused here, N before any effect is built.
+    Every scenario field is refused here, N and the dimension before any
+    effect is built.
     """
     for key in ("N", "weights", "seed"):
         if key not in scn:
@@ -409,6 +425,12 @@ def _groupsim_inputs(scn: dict) -> tuple:
         value = scn.get(key, [])
         if not isinstance(value, list) or not all(map(ok, value)):
             raise ValueError(f"{key} must be a list of {what}, got {value!r}")
+    dim = len(scn["weights"])
+    if dim > gs.MAX_SCENARIO_DIM:
+        raise ValueError(
+            f"representation dimension {dim} (the length of weights) "
+            f"is above the limit {gs.MAX_SCENARIO_DIM}"
+        )
     alpha, rng_seed = scn["alpha"], scn["rng_seed"]
     if not is_finite_real(alpha) or not 0 <= alpha <= 1:
         raise ValueError(f"alpha must be a number in [0, 1], got {alpha!r}")
@@ -442,13 +464,13 @@ def _cmd_groupsim(args) -> int:
 
 def _covariance_residual(rep, obs) -> float:
     """Largest entry of U(g) E(x) U(g)^* - E(g + x) over all g and x."""
-    n = rep.order
+    n, effects = rep.order, obs.effects
+    doubled = np.concatenate((effects, effects))  # doubled[g + x] = E(g + x mod N)
     worst = 0.0
     for g in range(n):
         u = rep.unitary(g)
-        for x in range(n):
-            lhs = u @ obs.effect(x) @ u.conj().T
-            worst = max(worst, float(np.abs(lhs - obs.effect((g + x) % n)).max()))
+        lhs = u @ effects @ u.conj().T
+        worst = max(worst, float(np.abs(lhs - doubled[g : g + n]).max()))
     return worst
 
 
@@ -463,18 +485,19 @@ def _run_groupsim_check(name, rep, obs, nu, seed2, scn, rng) -> dict:
     if name in ("covariance", "smear-covariance"):
         smeared = name == "smear-covariance"
         worst = _covariance_residual(rep, gs.smear_finite(obs, nu) if smeared else obs)
-        _require(worst < 1e-12, f"{'smeared ' if smeared else ''}covariance residual {worst}")
+        what = "smeared covariance" if smeared else "covariance"
+        _require(worst < gs._EPS_COVARIANCE, f"{what} residual {worst}")
         return {"verdict": "pass", "residual": worst}
     if name == "additivity":
         total = obs.effect_set(range(n))
         dev = float(np.abs(total - np.eye(rep.dim)).max())
-        _require(dev < 1e-10, f"additivity residual {dev}")
+        _require(dev < gs._EPS_EFFECT, f"additivity residual {dev}")
         return {"verdict": "pass", "residual": dev}
     if name == "faithful":
         worst = min(
             float(np.abs(obs.effect(x)).max()) for x in range(n)
         )
-        _require(worst > 1e-12, "some singleton effect vanishes")
+        _require(worst > gs._EPS_FAITHFUL, "some singleton effect vanishes")
         return {"verdict": "pass", "min_effect_weight": worst}
     if name == "norm-bound":
         lhs, rhs = gs.norm_bound_check(obs, nu, scn.get("subset", [0]))
@@ -497,7 +520,7 @@ def _run_groupsim_check(name, rep, obs, nu, seed2, scn, rng) -> dict:
         for g in range(n):
             s = rep.state_action(g)
             worst = max(worst, float(np.abs(s @ cov - cov @ s).max()))
-        _require(worst < 1e-10, f"covariance residual {worst}")
+        _require(worst < gs._EPS_CHANNEL_COVARIANCE, f"covariance residual {worst}")
         return {"verdict": "pass", "residual": worst}
     if name == "pre-norm-unitary":
         w = np.diag(np.exp(2j * np.pi * rng.random(rep.dim)))

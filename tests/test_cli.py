@@ -540,6 +540,63 @@ def test_groupsim_refuses_scenarios_above_the_order_limit(tmp_path, capsys, monk
         assert capsys.readouterr() == ("", f"error: {path}: {message}\n"), n
 
 
+@pytest.mark.parametrize(
+    "cell", [[5], True, "1", [True, False], [], [1, 2, 3], [None, 0], {"re": 1}, 10**400]
+)
+@pytest.mark.parametrize("key", ["seed", "seed2"])
+def test_groupsim_refuses_seed_cells_that_are_not_numbers_or_pairs(tmp_path, capsys, key, cell):
+    # each of these was coerced by numpy (a bool, a string, a one-item list) or
+    # read as 0; a huge integer raised OverflowError
+    seed = [[cell, 0.0], [0.0, 0.5]]
+    scenario = {"N": 3, "weights": [0, 1], "seed": [[0.5, 0.0], [0.0, 0.5]], key: seed,
+                "checks": ["additivity", "mix-inequality"]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["groupsim", "--scenario", str(path)]) == 1
+    message = f"{key} must be a 2 x 2 list of numbers or [re, im] pairs"
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("cell", ["NaN", "null", "[NaN, 0]", "Infinity"])
+def test_groupsim_refuses_non_finite_seed_cells_as_non_finite(tmp_path, capsys, cell):
+    path = tmp_path / "scenario.json"
+    path.write_text(f'{{"N": 3, "weights": [0, 1], "seed": [[{cell}, 0], [0, 0.5]]}}')
+    assert main(["groupsim", "--scenario", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: seed entries must be finite\n")
+
+
+def test_groupsim_accepts_numbers_and_pairs_in_one_seed(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    seed = [[1, [0.25, -0.5]], [[0.25, 0.5], 2.0]]
+    path.write_text(json.dumps({"N": 3, "weights": [0, 1], "seed": seed, "checks": ["additivity"]}))
+    code, out = run_cli(capsys, "groupsim", "--scenario", str(path), "--assert")
+    assert code == 0 and json.loads(out)["checks"]["additivity"]["verdict"] == "pass"
+
+
+def test_groupsim_refuses_scenarios_above_the_dimension_limit(tmp_path, capsys, monkeypatch):
+    def no_effects(*args):
+        raise AssertionError("effects built for a refused scenario")
+
+    monkeypatch.setattr("phaseopt.groupsim.make_covariant", no_effects)
+    path = tmp_path / "scenario.json"
+    for d in (gs.MAX_SCENARIO_DIM + 1, 64):
+        # the seed is malformed too: the dimension is refused before it is read
+        scenario = {"N": 4, "weights": [0] * d, "seed": "unread", "checks": ["covariantize"]}
+        path.write_text(json.dumps(scenario))
+        assert main(["groupsim", "--scenario", str(path)]) == 1, d
+        message = (
+            f"representation dimension {d} (the length of weights) "
+            f"is above the limit {gs.MAX_SCENARIO_DIM}"
+        )
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n"), d
+    monkeypatch.undo()
+    d = gs.MAX_SCENARIO_DIM
+    path.write_text(json.dumps({"N": 2, "weights": list(range(d)), "seed": np.eye(d).tolist(),
+                                "checks": ["covariance", "covariantize"]}))
+    code, out = run_cli(capsys, "groupsim", "--scenario", str(path), "--assert")
+    assert code == 0, out
+
+
 # --- determinism ---------------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from phaseopt import groupsim
+from phaseopt.cli import _covariance_residual
 from phaseopt.groupsim import (
     MAX_SWEEP_ORDER,
     CyclicRep,
@@ -565,3 +566,98 @@ def test_sweeps_refuse_group_orders_above_the_limit():
     with pytest.raises(ValueError, match=reason):
         pre_norm_check(obs, obs, kraus_to_superop([np.eye(1)]))
     assert obs._subset_norms is None
+
+
+# --- one U(g) stack per representation, bit for bit against the per-g forms ------------
+
+
+def loop_unitary(rep, g):
+    n = rep.order
+    return np.diag(np.exp(2j * math.pi * (np.array(rep.weights) * (g % n)) / n))
+
+
+def loop_effects(rep, seed):
+    return [loop_unitary(rep, x) @ seed @ loop_unitary(rep, x).conj().T for x in range(rep.order)]
+
+
+def loop_make_covariant_seed(rep, seed):
+    avg = sum(loop_effects(rep, seed))
+    w, q = np.linalg.eigh(avg)
+    inv_sqrt = (q * (1.0 / np.sqrt(w))) @ q.conj().T
+    return inv_sqrt @ seed @ inv_sqrt
+
+
+def loop_covariantize(rep, superop):
+    out = np.zeros_like(superop)
+    for g in range(rep.order):
+        u = loop_unitary(rep, g)
+        s = np.kron(u.conj(), u)
+        out += s @ superop @ s.conj().T
+    out /= rep.order
+    return out
+
+
+def loop_covariance_residual(rep, obs):
+    n = rep.order
+    worst = 0.0
+    for g in range(n):
+        u = loop_unitary(rep, g)
+        for x in range(n):
+            lhs = u @ obs.effect(x) @ u.conj().T
+            worst = max(worst, float(np.abs(lhs - obs.effect((g + x) % n)).max()))
+    return worst
+
+
+def assert_bits_equal(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype, what
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), what
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 14, 64])
+@pytest.mark.parametrize("d", [1, 3, 5, 16])
+def test_unitary_stack_routes_match_the_per_g_forms_bit_for_bit(n, d):
+    rng = np.random.default_rng(1000 * n + d)
+    # at the int64 edge of test_rep_refuses_weights_beyond_int64_arithmetic the
+    # phases are no longer a representation, so only the unitaries are compared
+    top = (2**63 - 1) // max(n - 1, 1)
+    edge = tuple(int(w) for w in rng.choice([-top, top, -1, 0, 3], d))
+    signed = [int(w) for w in rng.integers(-3 * n, 3 * n, d)]
+    repeated = tuple(signed[:1] + signed[:-1])  # negative, with signed[0] twice when d > 1
+    for weights in (edge, tuple(int(w) for w in rng.integers(0, n, d)), repeated):
+        rep = CyclicRep(n, weights)
+        stack = rep.unitaries
+        assert stack.shape == (n, d, d) and not stack.flags.writeable
+        for g in range(n):
+            want = loop_unitary(rep, g)
+            assert_bits_equal(stack[g], want, (weights, g))
+            assert_bits_equal(rep.unitary(g), want, (weights, g))
+            assert_bits_equal(rep.state_action(g), np.kron(want.conj(), want), (weights, g))
+        assert_bits_equal(rep.unitary(-1), rep.unitary(n - 1), weights)
+        if weights == edge:
+            continue
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        seed = g @ g.conj().T + 0.1 * np.eye(d)
+        obs = make_covariant(rep, seed)
+        assert_bits_equal(obs.seed, loop_make_covariant_seed(rep, seed), weights)
+        assert_bits_equal(obs.effects, np.array(loop_effects(rep, obs.seed)), weights)
+        assert_bits_equal(
+            _covariance_residual(rep, obs), loop_covariance_residual(rep, obs), weights
+        )
+        if d <= 5 or n <= 2:
+            chan = random_channel(d, rng)
+            assert_bits_equal(covariantize(rep, chan), loop_covariantize(rep, chan), weights)
+
+
+def test_unitary_stack_and_effects_are_read_only_and_outside_equality():
+    rep, twin = CyclicRep(7, (0, -3, 3, 3)), CyclicRep(7, (0, -3, 3, 3))
+    stack = rep.unitaries
+    assert rep.unitaries is stack and "unitaries" not in repr(rep)
+    assert rep == twin and hash(rep) == hash(twin)
+    assert rep != CyclicRep(7, (0, -3, 3, 4)) and rep != CyclicRep(8, (0, -3, 3, 3))
+    obs = make_covariant(rep, np.eye(4))
+    for view in (stack, rep.unitary(2), obs.effects, obs.effect(3)):
+        assert not view.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, ...] = 0.0
+    assert_bits_equal(obs.effect(-1), obs.effect(6), "effect(-1)")
