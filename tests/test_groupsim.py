@@ -622,8 +622,8 @@ def test_unitary_stack_routes_match_the_per_g_forms_bit_for_bit(n, d):
     # phases are no longer a representation, so only the unitaries are compared
     top = (2**63 - 1) // max(n - 1, 1)
     edge = tuple(int(w) for w in rng.choice([-top, top, -1, 0, 3], d))
-    signed = [int(w) for w in rng.integers(-3 * n, 3 * n, d)]
-    repeated = tuple(signed[:1] + signed[:-1])  # negative, with signed[0] twice when d > 1
+    negative = [-1 - int(w) for w in rng.integers(0, 3 * n, d)]
+    repeated = tuple(negative[:1] + negative[:-1])  # negative[0] twice when d > 1
     for weights in (edge, tuple(int(w) for w in rng.integers(0, n, d)), repeated):
         rep = CyclicRep(n, weights)
         stack = rep.unitaries
