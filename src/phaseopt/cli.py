@@ -81,13 +81,21 @@ __all__ = ["main", "run", "CliError"]
 MAX_DIM = 512
 # memory: density builds a grid x (2D - 1) complex table, 64 MB at MAX_DIM
 MAX_GRID = 4096
-# time: leggauss solves an n x n eigenproblem, and the oracle visits every radial node
-# for each of its 2D + 1 angles
+# time: leggauss solves an n x n eigenproblem, and the oracle evaluates a D x n table of
+# displacement elements (8 MB at MAX_DIM) and one D x n by n x D product per support level
 MAX_QUAD_POINTS = 1024
+# range: the oracle's integrand carries exp(-r^2/2); its radial factors stay finite up to
+# r = 1000 for every level below MAX_DIM and support levels below the cutoff, not at 1e6
+MAX_R_MAX = 100
+# --tol defaults: the largest density deviation of channel-identity (the matrix against
+# the canonical observable after the canonical channel) and the largest entry deviation
+# of oracle-et (the quadrature oracle against the closed-form effect) that pass
+CHANNEL_IDENTITY_TOL = 1e-10
+ORACLE_ET_TOL = 1e-6
 # time: each trial draws a random state and evaluates two densities
 MAX_TRIALS = 1000
 _FLAG_MAX = {"dim": MAX_DIM, "grid": MAX_GRID, "quad_points": MAX_QUAD_POINTS,
-             "trials": MAX_TRIALS}
+             "trials": MAX_TRIALS, "r_max": MAX_R_MAX}
 
 
 class CliError(Exception):
@@ -591,7 +599,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=CHANNEL_IDENTITY_TOL)
     p.set_defaults(func=_cmd_channel_identity)
 
     p = sub.add_parser("recover-state", help="reconstruct the generating diagonal state")
@@ -604,7 +612,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arc", default="half")
     p.add_argument("--r-max", type=float, default=10.0)
     p.add_argument("--quad-points", type=int, default=160)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=ORACLE_ET_TOL)
     p.set_defaults(func=_cmd_oracle_et)
 
     p = sub.add_parser("groupsim", help="run a finite-group scenario file")
@@ -631,6 +639,8 @@ def run(argv=None) -> int:
             value, name = getattr(args, flag, None), "--" + flag.replace("_", "-")
             if value is not None and not value > 0:
                 raise CliError(f"{name} must be positive, got {value}")
+            if value == np.inf:  # NaN and -inf already failed the sign test
+                raise CliError(f"{name} must be finite, got {value}")
             if value is not None and value > _FLAG_MAX.get(flag, value):
                 raise CliError(f"{name} must be at most {_FLAG_MAX[flag]}, got {value}")
         return args.func(args)

@@ -68,6 +68,9 @@ _EPS_EFFECT = 1e-10
 _EPS_COVARIANCE = 1e-12
 _EPS_FAITHFUL = 1e-12
 _EPS_CHANNEL_COVARIANCE = 1e-10
+# slack of the exhaustive sweeps when they compare two norms of one subset
+# (convexity, saturation, equality under preprocessing)
+_EPS_SWEEP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -353,7 +356,7 @@ def norm_bound_check(
     rhs = max(
         sum(nu.weights[(x - g) % n] for x in subset) for g in range(n)
     )
-    if lhs > rhs + 1e-10:
+    if lhs > rhs + _EPS_EFFECT:
         raise ValueError(f"norm bound violated: {lhs} > {rhs}")
     return lhs, rhs
 
@@ -375,13 +378,10 @@ def unitary_channel(u: np.ndarray) -> np.ndarray:
     return kraus_to_superop([u])
 
 
-def depolarizing_channel(dim: int, p: float = 1.0) -> np.ndarray:
-    """Mix the state with the maximally mixed one with probability p."""
-    ident = kraus_to_superop([np.eye(dim)])
-    # rho -> tr(rho) I / dim, written on vectorized operators
+def depolarizing_channel(dim: int) -> np.ndarray:
+    """Completely depolarizing channel rho -> tr(rho) I / dim."""
     vec_eye = np.eye(dim, dtype=np.complex128).reshape(-1, order="F")
-    full = np.outer(vec_eye, vec_eye.conj()) / dim
-    return (1.0 - p) * ident + p * full
+    return np.outer(vec_eye, vec_eye.conj()) / dim
 
 
 def random_channel(dim: int, rng) -> np.ndarray:
@@ -469,7 +469,6 @@ def convexity_check(
     e1: FiniteCovariantObservable,
     e2: FiniteCovariantObservable,
     alpha: float,
-    tol: float = 1e-9,
 ) -> dict:
     """Exhaustive norm convexity sweep over all outcome subsets.
 
@@ -483,9 +482,9 @@ def convexity_check(
     n = e1.rep.order
     nm, n1, n2 = (obs.subset_norms()[1:] for obs in (mixed, e1, e2))
     bound = alpha * n1 + (1 - alpha) * n2
-    grew = nm > bound + tol
-    saturated = nm >= 1.0 - tol
-    bad = grew | (saturated & ((n1 < 1.0 - tol) | (n2 < 1.0 - tol)))
+    grew = nm > bound + _EPS_SWEEP
+    saturated = nm >= 1.0 - _EPS_SWEEP
+    bad = grew | (saturated & ((n1 < 1.0 - _EPS_SWEEP) | (n2 < 1.0 - _EPS_SWEEP)))
     if bad.any():
         i, subset = _first_in_sweep_order(bad)
         if grew[i]:
@@ -527,5 +526,5 @@ def pre_norm_check(
     if grew.any():
         _, subset = _first_in_sweep_order(grew)
         raise ValueError(f"norm grew under preprocessing on {subset}")
-    equal_everywhere = not (np.abs(nf - ne) > 1e-9).any()
+    equal_everywhere = not (np.abs(nf - ne) > _EPS_SWEEP).any()
     return {"subsets": 2 ** n - 1, "norm_equal_everywhere": equal_everywhere}

@@ -307,30 +307,27 @@ def et_quadrature_oracle(
 ) -> np.ndarray:
     """Phase-space average of shifted diagonal states, by direct quadrature.
 
-    Numerically integrates (1/pi) * D(r e^{i theta}) T D(r e^{i theta})^*
-    * r over the arc and the radial range [0, r_max], using Gauss-Legendre
-    nodes in both variables.  This is the slow independent oracle for the
-    closed-form construction; accuracy is reported by the caller's
-    comparison, not guaranteed here.
+    Integrates (1/pi) * D(z) T D(z)^* over z = r e^{i theta}, theta in the
+    arc and r in [0, r_max].  As ``<m|D(z)|s> = f_ms(r) e^{i (m - s) theta}``
+    with real ``f_ms``, entry (m, n) is a radial Gauss-Legendre sum of
+    ``lambda_s r f_ms f_ns`` (one ``dim x quad_points`` table of
+    displacement elements per support level) times the exact integral of
+    ``e^{i (m - n) theta}`` over the arc.  It shares no code with
+    :func:`effect_operator`, which it checks; its accuracy is reported by
+    the caller's comparison, not guaranteed here.
     """
-    support = np.nonzero(state.weights)[0]
     x_r, w_r = leggauss(quad_points)
     radii = 0.5 * r_max * (x_r + 1.0)
-    w_radii = 0.5 * r_max * w_r
-    n_theta = 2 * dim + 1
-    x_t, w_t = leggauss(n_theta)
-
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for start, length in arc.components:
-        thetas = start + 0.5 * length * (x_t + 1.0)
-        w_thetas = 0.5 * length * w_t
-        for theta, wt in zip(thetas, w_thetas):
-            phase = complex(math.cos(theta), math.sin(theta))
-            for r, wr in zip(radii, w_radii):
-                z = r * phase
-                cols = np.array(
-                    [[displacement_element(m, int(s), z) for s in support] for m in range(dim)]
-                )
-                block = (cols * state.weights[support]) @ cols.conj().T
-                out += (wt * wr * r) * block
-    return out / math.pi
+    w_radii = 0.5 * r_max * w_r * radii
+    levels = np.arange(dim)
+    radial = np.zeros((dim, dim))
+    for s in np.nonzero(state.weights)[0]:
+        f = displacement_element(levels[:, None], int(s), radii).real
+        radial += state.weights[s] * (f * w_radii) @ f.T
+    # integral over [a, a + L) of e^{ik theta} = L e^{ik (a + L/2)} sinc(kL / 2pi)
+    k = np.subtract.outer(levels, levels)
+    angular = sum(
+        length * np.exp(1j * k * (start + 0.5 * length)) * np.sinc(k * length / TWO_PI)
+        for start, length in arc.components
+    )
+    return radial * angular / math.pi

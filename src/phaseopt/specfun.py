@@ -9,9 +9,9 @@ factorial ratios, sqrt(pi)) are applied in floating point, so entries
 that are mathematically zero come out as exact 0.0 and diagonal entries
 come out as 1 to machine precision even at large indices.
 
-scipy is needed only by :func:`displacement_element` (its Laguerre
-evaluator) and is imported there on first use, so importing this module,
-or the package, loads numpy and no scipy.
+scipy is needed only by :func:`displacement_element` (its log-Gamma and
+Laguerre ufuncs) and is imported there on first use, so importing this
+module, or the package, loads numpy and no scipy.
 """
 
 from __future__ import annotations
@@ -187,8 +187,7 @@ def c_state_matrix(s: int, dim: int) -> np.ndarray:
         full[lower] = full.T[lower]
         _MATRIX_CACHE[s] = full
         cached = full
-    out = cached[:dim, :dim].copy()
-    return out
+    return cached[:dim, :dim].copy()
 
 
 def c_fock_0_2k(s: int, k: int) -> float:
@@ -210,33 +209,27 @@ def c_fock_0_2k(s: int, k: int) -> float:
     return _entry_float(math.perm(k - 1, s), _fact(k) ** 2, den, False, -1 if s % 2 else 1)
 
 
-@lru_cache(maxsize=None)
-def _eval_genlaguerre():
-    """scipy's generalized Laguerre ufunc, imported on first use."""
-    from scipy.special import eval_genlaguerre
-
-    return eval_genlaguerre
-
-
-def displacement_element(m: int, n: int, z: complex) -> complex:
+def displacement_element(m, n, z):
     """Matrix element ``<m|D(z)|n>`` of the phase-space shift operator.
 
-    Uses the closed Laguerre form for ``m >= n`` and the symmetry
-    ``<m|D(z)|n> = conj(<n|D(-z)|m>)`` otherwise.  The Laguerre value comes
-    from scipy, imported on the first call rather than with the module:
-    only the quadrature oracle calls this function.
+    Broadcasts over arrays of ``m``, ``n`` and ``z``; scalar arguments give
+    a complex.  With ``k = min(m, n)`` and ``a = |m - n|`` the element is
+    ``sqrt(k!/(k+a)!) w**a exp(-|z|**2/2) L_k^a(|z|**2)``, where ``w = z``
+    for ``m >= n`` and ``w = -conj(z)`` otherwise (``<m|D(z)|n> =
+    conj(<n|D(-z)|m>)``).  The modulus of ``w**a`` and the factorials are
+    taken as logarithms, so ``z = 0`` gives exact 0 off the diagonal and 1
+    on it.  scipy is imported on the first call rather than with the
+    module: only the quadrature oracle calls this function.
     """
-    if m < 0 or n < 0:
+    m, n = np.asarray(m), np.asarray(n)
+    if (m < 0).any() or (n < 0).any():
         raise ValueError("indices must be nonnegative")
-    z = complex(z)
-    if m < n:
-        return displacement_element(n, m, -z).conjugate()
-    if z == 0:
-        return 1.0 + 0.0j if m == n else 0.0j
-    r2 = z.real * z.real + z.imag * z.imag
-    alpha = m - n
-    log_amp = 0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1)) + 0.5 * alpha * math.log(r2) - 0.5 * r2
-    phase = complex(math.cos(alpha * math.atan2(z.imag, z.real)),
-                    math.sin(alpha * math.atan2(z.imag, z.real)))
-    lag = float(_eval_genlaguerre()(n, alpha, r2))
-    return math.exp(log_amp) * phase * lag
+    from scipy.special import eval_genlaguerre, gammaln, xlogy
+
+    z = np.asarray(z, dtype=np.complex128)
+    k, a = np.minimum(m, n), np.abs(m - n)
+    w = np.where(m >= n, z, -z.conj())
+    r2 = w.real * w.real + w.imag * w.imag
+    log_amp = 0.5 * (gammaln(k + 1) - gammaln(k + a + 1) + xlogy(a, r2) - r2)
+    out = np.exp(log_amp + 1j * a * np.angle(w)) * eval_genlaguerre(k, a, r2)
+    return complex(out) if out.ndim == 0 else out

@@ -716,6 +716,12 @@ def test_malformed_input_is_diagnosed(tmp_path, capsys, monkeypatch):
         (["density", "--coherent", "1.0", "--grid", "4097"], "--grid must be at most 4096, got 4097"),
         (["channel-identity", "--grid", "4097"], "--grid must be at most 4096, got 4097"),
         (["oracle-et", "--quad-points", "1025"], "--quad-points must be at most 1024, got 1025"),
+        (["oracle-et", "--r-max", "101"], "--r-max must be at most 100, got 101.0"),
+        (["oracle-et", "--r-max", "1e300"], "--r-max must be at most 100, got 1e+300"),
+        (["oracle-et", "--r-max", "inf"], "--r-max must be finite, got inf"),
+        (["oracle-et", "--tol", "inf"], "--tol must be finite, got inf"),
+        (["channel-identity", "--tol", "inf"], "--tol must be finite, got inf"),
+        (["check", "sharp", "--tol", "inf"], "--tol must be finite, got inf"),
         (["channel-identity", "--trials", "1001"], "--trials must be at most 1000, got 1001"),
     ):
         assert main(argv) == 1, argv

@@ -452,18 +452,23 @@ def test_subset_norms_are_cached_and_reused(monkeypatch):
     assert [shape for shape in calls if len(shape) == 3] == [(59, 3, 3)] * 2
 
 
-def test_sweeps_agree_with_the_per_subset_loop():
+def test_sweeps_agree_with_the_per_subset_loop(monkeypatch):
     rng = np.random.default_rng(61)
     rep = CyclicRep(11, (0, 2, 3, 7))
     e1 = make_covariant(rep, random_observable(rng, 11, 4).seed)
     e2 = make_covariant(rep, random_observable(rng, 11, 4).seed)
     canon = finite_canonical(7)
     # passing sweeps report the same numbers; failing ones name the same first
-    # subset (a negative tol fails on slack, a large one on saturation)
-    for args in ((e1, e2, 0.35), (canon, canon, 0.5), (e1, e2, 0.35, -0.02), (e1, e2, 0.35, 0.6)):
-        assert outcome(convexity_check, *args) == outcome(loop_convexity_check, *args), args
-    assert "violated on (0, 2, 7)" in outcome(convexity_check, e1, e2, 0.35, -0.02)
-    assert "saturation on (0, 1, 6)" in outcome(convexity_check, e1, e2, 0.35, 0.6)
+    # subset (a negative slack fails on convexity, a large one on saturation)
+    for args, tol in (((e1, e2, 0.35), 1e-9), ((canon, canon, 0.5), 1e-9),
+                      ((e1, e2, 0.35), -0.02), ((e1, e2, 0.35), 0.6)):
+        monkeypatch.setattr(groupsim, "_EPS_SWEEP", tol)
+        got = outcome(convexity_check, *args)
+        assert got == outcome(loop_convexity_check, *args, tol), (args, tol)
+        if tol == -0.02:
+            assert "violated on (0, 2, 7)" in got
+        if tol == 0.6:
+            assert "saturation on (0, 1, 6)" in got
 
 
 def test_pre_norm_names_the_first_subset_in_sweep_order():
