@@ -34,6 +34,7 @@ from .measure import (
     CoherentVector,
     DensityMatrix,
     DiagonalState,
+    _oracle_window,
     density,
     effect_norm,
     effect_operator,
@@ -81,12 +82,6 @@ __all__ = ["main", "run", "CliError"]
 MAX_DIM = 512
 # memory: density builds a grid x (2D - 1) complex table, 64 MB at MAX_DIM
 MAX_GRID = 4096
-# time: leggauss solves an n x n eigenproblem, and the oracle evaluates a D x n table of
-# displacement elements (8 MB at MAX_DIM) and one D x n by n x D product per support level
-MAX_QUAD_POINTS = 1024
-# range: the oracle's integrand carries exp(-r^2/2); its radial factors stay finite up to
-# r = 1000 for every level below MAX_DIM and support levels below the cutoff, not at 1e6
-MAX_R_MAX = 100
 # --tol defaults: the largest density deviation of channel-identity (the matrix against
 # the canonical observable after the canonical channel) and the largest entry deviation
 # of oracle-et (the quadrature oracle against the closed-form effect) that pass
@@ -94,8 +89,7 @@ CHANNEL_IDENTITY_TOL = 1e-10
 ORACLE_ET_TOL = 1e-6
 # time: each trial draws a random state and evaluates two densities
 MAX_TRIALS = 1000
-_FLAG_MAX = {"dim": MAX_DIM, "grid": MAX_GRID, "quad_points": MAX_QUAD_POINTS,
-             "trials": MAX_TRIALS, "r_max": MAX_R_MAX}
+_FLAG_MAX = {"dim": MAX_DIM, "grid": MAX_GRID, "trials": MAX_TRIALS}
 
 
 class CliError(Exception):
@@ -364,17 +358,16 @@ def _cmd_recover_state(args) -> int:
 def _cmd_oracle_et(args) -> int:
     state = DiagonalState(_parse_levels(args.levels))
     arc = _parse_arc(args.arc)
-    approx = et_quadrature_oracle(
-        state, arc, args.dim, r_max=args.r_max, quad_points=args.quad_points
-    )
+    approx = et_quadrature_oracle(state, arc, args.dim)
+    r_max, quad_points = _oracle_window(args.dim, state.support_max)
     exact = effect_operator(state_generated(state.weights, args.dim), arc)
     dev = float(np.abs(approx - exact).max())
     data = {
         "verdict": "pass" if dev < args.tol else "fail",
         "max_entry_deviation": dev,
         "dim": args.dim,
-        "r_max": args.r_max,
-        "quad_points": args.quad_points,
+        "r_max": r_max,
+        "quad_points": quad_points,
         "tolerances": {"tol": args.tol},
     }
     return _report(args, data, dev >= args.tol)
@@ -610,8 +603,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", default="1.0@0")
     p.add_argument("--dim", type=int, default=12)
     p.add_argument("--arc", default="half")
-    p.add_argument("--r-max", type=float, default=10.0)
-    p.add_argument("--quad-points", type=int, default=160)
     p.add_argument("--tol", type=float, default=ORACLE_ET_TOL)
     p.set_defaults(func=_cmd_oracle_et)
 
@@ -635,8 +626,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        for flag in ("dim", "grid", "tol", "trials", "r_max", "quad_points"):
-            value, name = getattr(args, flag, None), "--" + flag.replace("_", "-")
+        for flag in ("dim", "grid", "tol", "trials"):
+            value, name = getattr(args, flag, None), "--" + flag
             if value is not None and not value > 0:
                 raise CliError(f"{name} must be positive, got {value}")
             if value == np.inf:  # NaN and -inf already failed the sign test

@@ -241,7 +241,7 @@ class EtaSystem:
         if v.ndim != 2 or v.shape[1] != self.rank:
             raise ValueError("vectors must be a (D, rank) array")
         norms = np.linalg.norm(v, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-6:
+        if np.abs(norms - 1.0).max() > EPS_GRAM:
             raise ValueError("eta vectors must be unit vectors")
         object.__setattr__(self, "vectors", v)
 

@@ -115,7 +115,7 @@ def test_criterion_03_closed_form_cross_check():
 def test_criterion_04_quadrature_oracle():
     with criterion(4, "phase-space quadrature matches closed form (D=12, half arc)"):
         state = DiagonalState([1.0])
-        approx = et_quadrature_oracle(state, Arc.half(), 12, r_max=10.0, quad_points=160)
+        approx = et_quadrature_oracle(state, Arc.half(), 12)
         exact = effect_operator(state_generated([1.0], 12), Arc.half())
         assert np.abs(approx - exact).max() < 1e-6
 

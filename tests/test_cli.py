@@ -391,6 +391,27 @@ def test_oracle_et_command(capsys):
     assert report["max_entry_deviation"] < 1e-6
 
 
+@pytest.mark.parametrize("dim", [12, 48, 64, 96, 128])
+@pytest.mark.parametrize(
+    "levels", ["1.0@0", "0.5@0,0.5@9", "1.0@3", "1.0@40", "1.0@63", "0.5@0,0.5@63"]
+)
+def test_oracle_et_window_reaches_every_admitted_level(capsys, dim, levels):
+    # the window must grow with D and the support: r = 10 misses the radial tail from
+    # D = 64 at level 0 and from D = 12 at level 40
+    code, out = run_cli(capsys, "oracle-et", "--levels", levels, "--dim", str(dim), "--assert")
+    assert code == 0, out
+    assert json.loads(out)["max_entry_deviation"] < 1e-12
+
+
+def test_oracle_et_window_flags_are_retired(capsys):
+    # the radial window is derived from --dim and the support: naming it is a usage error
+    for argv in (["oracle-et", "--r-max", "10"], ["oracle-et", "--quad-points", "160"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+
+
 # --- groupsim scenario ------------------------------------------------------------------
 
 
@@ -715,10 +736,6 @@ def test_malformed_input_is_diagnosed(tmp_path, capsys, monkeypatch):
         (["norm-sweep", "--dims", "4,513"], "--dims entries must be at most 512, got '4,513'"),
         (["density", "--coherent", "1.0", "--grid", "4097"], "--grid must be at most 4096, got 4097"),
         (["channel-identity", "--grid", "4097"], "--grid must be at most 4096, got 4097"),
-        (["oracle-et", "--quad-points", "1025"], "--quad-points must be at most 1024, got 1025"),
-        (["oracle-et", "--r-max", "101"], "--r-max must be at most 100, got 101.0"),
-        (["oracle-et", "--r-max", "1e300"], "--r-max must be at most 100, got 1e+300"),
-        (["oracle-et", "--r-max", "inf"], "--r-max must be finite, got inf"),
         (["oracle-et", "--tol", "inf"], "--tol must be finite, got inf"),
         (["channel-identity", "--tol", "inf"], "--tol must be finite, got inf"),
         (["check", "sharp", "--tol", "inf"], "--tol must be finite, got inf"),
@@ -759,8 +776,6 @@ def test_flag_values_must_be_positive(capsys, monkeypatch):
         ["oracle-et", "--tol=-1e-6"],
         ["channel-identity", "--trials", "0"],
         ["channel-identity", "--trials", "-2"],
-        ["oracle-et", "--r-max", "-1"],
-        ["oracle-et", "--quad-points", "0"],
     ):
         monkeypatch.setattr("sys.stdin", io.StringIO(gen_out))
         assert main(argv) == 1, argv

@@ -13,6 +13,7 @@ from phaseopt.measure import (
     CoherentVector,
     DensityMatrix,
     DiagonalState,
+    _oracle_window,
     density,
     effect_norm,
     effect_operator,
@@ -282,8 +283,15 @@ def test_prob_covariance_under_state_rotation():
 
 
 def test_oracle_full_circle_is_identity():
-    approx = et_quadrature_oracle(DiagonalState([1.0]), Arc.full(), 8, r_max=8.0)
+    approx = et_quadrature_oracle(DiagonalState([1.0]), Arc.full(), 8)
     assert np.abs(approx - np.eye(8)).max() < 1e-4
+
+
+def test_oracle_window_keeps_the_small_default():
+    # the floor keeps the window of the README request, (10, 160), at D = 12 and level 0
+    assert _oracle_window(12, 0) == (10.0, 160)
+    assert _oracle_window(512, 63) == (pytest.approx(36.54, abs=0.01), 585)
+    assert et_quadrature_oracle(DiagonalState([1.0]), Arc.half(), 0).shape == (0, 0)
 
 
 def test_oracle_matches_closed_form_on_half_circle():
@@ -325,7 +333,7 @@ def scalar_displacement_element(m, n, z):
     return math.exp(log_amp) * phase * float(eval_genlaguerre(n, alpha, r2))
 
 
-def scalar_quadrature_oracle(state, arc, dim, r_max=10.0, quad_points=160):
+def scalar_quadrature_oracle(state, arc, dim, r_max, quad_points):
     """The phase-space average as a two-variable scalar quadrature (the reference).
 
     Gauss-Legendre nodes in r and 2D + 1 of them in theta on each arc
@@ -380,12 +388,13 @@ def test_oracle_matches_the_scalar_quadrature(weights, arc, dim):
     # the full circle is left out: there the 2D + 1 angular nodes of the reference err by 6e-6
     state = DiagonalState(weights)
     approx = et_quadrature_oracle(state, arc, dim)
-    assert np.abs(approx - scalar_quadrature_oracle(state, arc, dim)).max() < 1e-13
+    window = _oracle_window(dim, state.support_max)
+    assert np.abs(approx - scalar_quadrature_oracle(state, arc, dim, *window)).max() < 1e-13
 
 
 def test_oracle_at_dimension_128_matches_closed_form():
     state = DiagonalState([0.25, 0.0, 0.0, 0.75])
     arc = Arc.interval(0.3, 2.0)
-    approx = et_quadrature_oracle(state, arc, 128, r_max=20.0, quad_points=400)
+    approx = et_quadrature_oracle(state, arc, 128)
     exact = effect_operator(state_generated(state.weights, 128), arc)
     assert np.abs(approx - exact).max() < 1e-12

@@ -32,8 +32,8 @@ from phaseopt.phase_matrix import (
     validate,
 )
 
-# each gate's cutoff, read where it is defined; DensityMatrix's inline 1e-10
-# is tested through the gate alone
+# each gate's cutoff, read where it is defined; DensityMatrix reads EPS_PSD, as
+# validate does, and is tested through the gate alone
 GATE_CUTOFFS = {
     "validate": EPS_PSD,
     "seed": _EPS_EFFECT,
