@@ -80,7 +80,9 @@ __all__ = ["main", "run", "CliError"]
 # memory: a D x D complex matrix takes 16 D^2 bytes (4 MB at 512) and its JSON text up to
 # twice that; 512 is above the index 300 to which the kernel's unit diagonal is guaranteed
 MAX_DIM = 512
-# memory: density builds a grid x (2D - 1) complex table, 64 MB at MAX_DIM
+# output: density prints one CSV line per grid point, 127 KB at 4096, which is 4 points
+# per mode of a matrix at MAX_DIM (2D - 1 = 1023 modes); the grid itself is one FFT,
+# O(D^2 + grid log grid) time and O(grid) memory
 MAX_GRID = 4096
 # --tol defaults: the largest density deviation of channel-identity (the matrix against
 # the canonical observable after the canonical channel) and the largest entry deviation

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .phase_matrix import psd_certified
+from .phase_matrix import _EPS_PROB, psd_certified
 
 __all__ = [
     "CyclicRep",
@@ -139,9 +139,9 @@ class FiniteMeasure:
         if not w:
             raise ValueError("a measure needs at least one weight")
         # every test is written so that a NaN fails it
-        if not all(x >= -1e-14 for x in w):
+        if not all(x >= -_EPS_PROB for x in w):
             raise ValueError("measure weights must be nonnegative numbers")
-        if not abs(sum(w) - 1.0) <= 1e-12:
+        if not abs(sum(w) - 1.0) <= _EPS_PROB:
             raise ValueError(f"measure weights sum to {sum(w)}")
         object.__setattr__(self, "weights", w)
 

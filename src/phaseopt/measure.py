@@ -130,17 +130,23 @@ class Arc:
         return False
 
 
+def _fourier_arc_table(arc: Arc, ks: np.ndarray) -> np.ndarray:
+    """:func:`fourier_arc` at each integer of ``ks``, one array expression per component."""
+    nonzero = ks != 0
+    k = np.where(nonzero, ks, 1)  # k = 0 takes the arc measure below, not this quotient
+    total = np.zeros(ks.shape, dtype=np.complex128)
+    for start, length in arc.components:
+        total += np.where(
+            nonzero,
+            (np.exp(1j * k * (start + length)) - np.exp(1j * k * start)) / (TWO_PI * 1j * k),
+            length / TWO_PI,
+        )
+    return total
+
+
 def fourier_arc(arc: Arc, k: int) -> complex:
     """Normalized Fourier integral of ``exp(i k theta)`` over the arc."""
-    total = 0.0j
-    for start, length in arc.components:
-        if k == 0:
-            total += length / TWO_PI
-        else:
-            total += (
-                np.exp(1j * k * (start + length)) - np.exp(1j * k * start)
-            ) / (TWO_PI * 1j * k)
-    return complex(total)
+    return complex(_fourier_arc_table(arc, np.array([k]))[0])
 
 
 @dataclass(frozen=True)
@@ -258,8 +264,7 @@ class CoherentVector:
 def effect_operator(matrix: PhaseMatrix, arc: Arc) -> np.ndarray:
     """Effect of the outcome set: entrywise c[m,n] * fourier_arc(m - n)."""
     d = matrix.dim
-    coeffs = np.array([fourier_arc(arc, k) for k in range(-(d - 1), d)])
-    return matrix.entries * _toeplitz(coeffs)
+    return matrix.entries * _toeplitz(_fourier_arc_table(arc, np.arange(-(d - 1), d)))
 
 
 def effect_norm(matrix: PhaseMatrix, arc: Arc) -> float:
@@ -267,22 +272,34 @@ def effect_norm(matrix: PhaseMatrix, arc: Arc) -> float:
     return float(np.linalg.eigvalsh(effect_operator(matrix, arc))[-1])
 
 
+def _trig_on_grid(freqs: np.ndarray, coeffs: np.ndarray, points: int) -> np.ndarray:
+    """``sum_j coeffs[j] * exp(2 pi i freqs[j] g / points)`` at g = 0, ..., points - 1.
+
+    The modes are folded by frequency mod ``points``, which is exact because each
+    exponential is periodic in the frequency with that period, then summed by one
+    inverse FFT: O(len(coeffs) + points log points) work and memory.
+    """
+    idx = np.mod(freqs, points).ravel()
+    folded = np.empty(points, dtype=np.complex128)
+    folded.real = np.bincount(idx, coeffs.real.ravel(), points)
+    folded.imag = np.bincount(idx, coeffs.imag.ravel(), points)
+    return points * np.fft.ifft(folded)
+
+
 def density(matrix: PhaseMatrix, rho: DensityMatrix, grid: int = DEFAULT_GRID):
     """Outcome probability density sampled on a uniform angle grid.
 
-    Returns ``(thetas, values)``; values are real and may dip a hair
-    below zero (truncated Fourier series), they are not clamped.
+    The entry ``c[m, n] * rho[n, m]`` is the coefficient of ``exp(i (m - n) theta)``;
+    :func:`_trig_on_grid` folds the entries by ``(m - n) mod grid`` and sums them by one
+    inverse FFT of length ``grid``.  Returns ``(thetas, values)``; values are real and
+    may dip a hair below zero (truncated Fourier series), they are not clamped.
     """
     if matrix.dim != rho.dim:
         raise ValueError(f"dimension mismatch: {matrix.dim} vs {rho.dim}")
-    d = matrix.dim
+    levels = np.arange(matrix.dim)
     a = matrix.entries * rho.entries.T  # a[m, n] = c[m, n] * rho[n, m]
-    # coefficient of exp(i k theta) collects the entries with m - n = k
-    modes = np.array([np.trace(a, offset=-k) for k in range(-(d - 1), d)])
-    thetas = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    ks = np.arange(-(d - 1), d)
-    values = (np.exp(1j * np.outer(thetas, ks)) @ modes).real / TWO_PI
-    return thetas, values
+    values = _trig_on_grid(np.subtract.outer(levels, levels), a, grid).real / TWO_PI
+    return np.linspace(0.0, TWO_PI, grid, endpoint=False), values
 
 
 def prob(matrix: PhaseMatrix, rho: DensityMatrix, arc: Arc) -> float:

@@ -15,9 +15,10 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .measure import TWO_PI, DiagonalState
+from .measure import TWO_PI, DiagonalState, _trig_on_grid
 from ._serialize import complex_from_pairs, is_finite_real
-from .phase_matrix import EPS_EQUIV, EPS_RANK, EtaSystem, PhaseMatrix, _toeplitz, gram_factor
+from .phase_matrix import (
+    EPS_EQUIV, EPS_RANK, _EPS_PROB, EtaSystem, PhaseMatrix, _toeplitz, gram_factor)
 from .specfun import c_fock_0_2k
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "tail_recovery_spec",
     "preprocess",
     "preclean_check",
+    "MAX_DENSITY_COEFFS",
 ]
 
 DEFAULT_SHARP_WINDOW = 16
@@ -52,6 +54,9 @@ DEFAULT_TAIL_TOL = 1e-6
 _EPS_WITNESS = 1e-10
 # slack in the recovered weights and total mass of recover_state
 _RECOVERY_TOL = 1e-6
+# Most density_coeffs a CircleMeasure takes: its positivity test evaluates the density on
+# 8 points per coefficient, 8 MB of complex values at this bound.
+MAX_DENSITY_COEFFS = 1 << 16
 
 
 def _atoms_fourier(atoms, k: int) -> complex:
@@ -84,19 +89,24 @@ class CircleMeasure:
             pos = complex(pos)
             if not abs(abs(pos) - 1.0) <= 1e-12:
                 raise ValueError("atom positions must be unimodular")
-            if not w >= -1e-14:
+            if not w >= -_EPS_PROB:
                 raise ValueError("atom weights must be nonnegative numbers")
             atoms.append((pos, float(w)))
         coeffs = tuple(complex(c) for c in self.density_coeffs)
         mass = sum(w for _, w in atoms) + (coeffs[0].real if coeffs else 0.0)
-        if not abs(mass - 1.0) <= 1e-12:
+        if not abs(mass - 1.0) <= _EPS_PROB:
             raise ValueError(f"total mass {mass} is not 1")
+        if len(coeffs) > MAX_DENSITY_COEFFS:
+            raise ValueError(
+                f"density_coeffs holds {len(coeffs)} coefficients, more than {MAX_DENSITY_COEFFS}"
+            )
         if coeffs:
             if abs(coeffs[0].imag) > 1e-12:
                 raise ValueError("h_0 must be real")
-            grid = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
-            ks = np.arange(len(coeffs))
-            vals = (np.exp(1j * np.outer(grid, ks)) @ np.asarray(coeffs)).real
+            # 8 points per period of the top mode: a degree-K density cannot hide a dip
+            # between points, as it can on a grid of K points or fewer
+            points = max(1024, 8 * (len(coeffs) - 1))
+            vals = _trig_on_grid(np.arange(len(coeffs)), np.asarray(coeffs), points).real
             vals = 2.0 * vals - coeffs[0].real  # add conjugate modes
             if not vals.min() >= -1e-10:
                 raise ValueError(f"density dips to {vals.min()} on the grid")
@@ -536,27 +546,50 @@ def preprocess(matrix: PhaseMatrix, spec: CovariantChannelSpec) -> PhaseMatrix:
     For p >= q the new entry is
     ``sum_n c[n, n + (p - q)] * <phi[q, n], phi[p, n + (p - q)]>``,
     completed by Hermitian symmetry; vectors beyond the truncation edge
-    count as 0.
+    count as 0.  Only the offsets ``t = n - q`` at which the spec has a
+    nonzero vector contribute, so ``phi`` is gathered once into the band
+    ``band[q, i] = phi[q, q + t_i]``.  For each diagonal j the overlaps
+    ``<phi[q, q + t], phi[q + j, q + t + j]>`` are one ``einsum`` over the
+    band, scattered into a (D - j) x (D - j) view of one zeroed array, and
+    one matrix-vector product against ``c``'s j-th diagonal sums them.
+    Building the blocks takes O(D^2 |T| aux) work in all, against O(D^3 aux)
+    for the dense overlaps; each block equals the dense one, so every
+    entry is the same ``zgemv`` sum, bit for bit.
     """
     if spec.dim != matrix.dim:
         raise ValueError("channel spec dimension does not match the matrix")
     d = matrix.dim
     c = matrix.entries
     phi = spec.phi
-    phi_conj = phi.conj()
+    rows, cols = np.nonzero(phi.any(axis=2))
+    offsets = np.unique(cols - rows)  # sorted
+    levels = np.arange(d)
+    band_cols = levels[:, None] + offsets
+    inside = (band_cols >= 0) & (band_cols < d)
+    band = np.zeros((d, offsets.size, phi.shape[2]), dtype=np.complex128)
+    band[inside] = phi[np.nonzero(inside)[0], band_cols[inside]]
+    band_conj = band.conj()
+    # Row q of the block keeps column n at q * width + pad + n, so every band entry has a
+    # slot in its own row and step j reads the (D - j) x (D - j) view from column pad on.
+    # Each step rewrites every in-view slot of an offset in the band, and the others are
+    # never written, so no reset is needed.
+    pad = max(0, -offsets[0])
+    width = pad + d + max(0, offsets[-1])
+    slots = levels[:, None] * width + pad + band_cols
+    block = np.zeros((d, width), dtype=np.complex128)
+    flat_block = block.reshape(-1)
+    sizes = d - levels
+    los = np.searchsorted(offsets, 1 - sizes)  # only offsets with |t| < D - j reach the view
+    his = np.searchsorted(offsets, sizes)
     out = np.zeros((d, d), dtype=np.complex128)
-    for j in range(d):
-        diag = np.diagonal(c, offset=j)  # c[n, n + j]
-        # overlap[q, n] = <phi[q, n], phi[q + j, n + j]>
-        overlaps = np.einsum(
-            "qna,qna->qn",
-            phi_conj[: d - j, : d - j],
-            phi[j:, j:],
+    flat = out.reshape(-1)
+    for j, size, lo, hi in zip(levels.tolist(), sizes.tolist(), los.tolist(), his.tolist()):
+        flat_block[slots[:size, lo:hi]] = np.einsum(
+            "qta,qta->qt", band_conj[:size, lo:hi], band[j:, lo:hi]
         )
-        vals = overlaps @ diag
-        q = np.arange(d - j)
-        out[q, q + j] = vals
-        out[q + j, q] = vals.conj()
+        vals = block[:size, pad : pad + size] @ np.diagonal(c, offset=j)
+        flat[j :: d + 1][:size] = vals
+        flat[j * d :: d + 1][:size] = vals.conj()
     return PhaseMatrix(out)
 
 

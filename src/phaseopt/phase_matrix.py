@@ -46,6 +46,10 @@ EPS_GRAM = 1e-10
 # entrywise agreement demanded by the equivalence decisions
 EPS_EQUIV = 1e-10
 _EPS_HERM = 1e-12
+# Probability weights may dip below 0, and their sum may miss 1, by this much.  One value
+# serves both: an entry floor tighter than the sum slack would refuse a vector whose
+# rounding the sum test forgives.
+_EPS_PROB = 1e-12
 # number states at or above this level are refused by state_generated
 LEVEL_CUTOFF = 64
 
@@ -277,11 +281,11 @@ def chessboard(xi: complex, dim: int) -> PhaseMatrix:
 def _probability_vector(weights) -> np.ndarray:
     """The weights as a flat float array; ValueError unless they are a probability vector.
 
-    Entries may dip to -1e-12 and the sum may miss 1 by 1e-12; the test is
-    written so that a NaN fails it.
+    Entries may dip to -_EPS_PROB and the sum may miss 1 by _EPS_PROB; the test
+    is written so that a NaN fails it.
     """
     lam = np.asarray(weights, dtype=float).ravel()
-    if not (lam.size and lam.min() >= -1e-12 and abs(lam.sum() - 1.0) <= 1e-12):
+    if not (lam.size and lam.min() >= -_EPS_PROB and abs(lam.sum() - 1.0) <= _EPS_PROB):
         shown = np.array2string(lam, separator=", ", threshold=8)
         raise ValueError(f"weights must be a probability vector, got {shown}")
     return lam

@@ -1,8 +1,8 @@
 """Bit-for-bit agreement of the decision layers with their plain-loop forms.
 
 The ``_reference_*`` functions below are the scalar-loop implementations
-of ``preprocess``, ``u_equivalent``, ``preclean_check`` and
-``recover_state`` that the library's array forms replace.  The array
+of ``preprocess``, ``u_equivalent``, ``preclean_check``, ``recover_state``
+and ``effect_operator`` that the library's array forms replace.  The array
 forms run the same floating-point operations on the same operands in the
 same order, so every output must agree in every bit, compared through
 ``.view(np.uint64)`` (or ``is None`` where the answer can be ``None``).
@@ -14,7 +14,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from phaseopt.measure import DiagonalState
+from phaseopt.measure import TWO_PI, Arc, DiagonalState, effect_operator
 from phaseopt.optimal import (
     _RECOVERY_ENTRY_EPS,
     _RECOVERY_TOL,
@@ -29,6 +29,7 @@ from phaseopt.optimal import (
 )
 from phaseopt.phase_matrix import (
     PhaseMatrix,
+    _toeplitz,
     canonical,
     chessboard,
     example4,
@@ -56,6 +57,24 @@ def _reference_preprocess(matrix, spec):
             out[q, q + j] = vals[q]
             out[q + j, q] = vals[q].conjugate()
     return PhaseMatrix(out)
+
+
+def _reference_fourier_arc(arc, k):
+    total = 0.0j
+    for start, length in arc.components:
+        if k == 0:
+            total += length / TWO_PI
+        else:
+            total += (
+                np.exp(1j * k * (start + length)) - np.exp(1j * k * start)
+            ) / (TWO_PI * 1j * k)
+    return complex(total)
+
+
+def _reference_effect_operator(matrix, arc):
+    d = matrix.dim
+    coeffs = np.array([_reference_fourier_arc(arc, k) for k in range(-(d - 1), d)])
+    return matrix.entries * _toeplitz(coeffs)
 
 
 def _reference_u_equivalent(m1, m2, tol=1e-10):
@@ -228,7 +247,16 @@ def test_u_equivalent_reference_sees_several_components():
     assert u_equivalent(m, conj) is None and _reference_u_equivalent(m, conj) is None
 
 
-@pytest.mark.parametrize("dim", DIMS)
+def two_offset_spec(dim, rng, aux=2):
+    """Random vectors at n - q in {0, -2} only: a band of two offsets, one negative."""
+    phi = np.zeros((dim, dim, aux), dtype=np.complex128)
+    q = np.arange(dim)
+    phi[q, q] = rng.normal(size=(dim, aux)) + 1j * rng.normal(size=(dim, aux))
+    phi[q[2:], q[:-2]] = rng.normal(size=(dim - 2, aux)) + 1j * rng.normal(size=(dim - 2, aux))
+    return CovariantChannelSpec(phi / np.sqrt((np.abs(phi) ** 2).sum(axis=(1, 2)))[:, None, None])
+
+
+@pytest.mark.parametrize("dim", DIMS + (256,))
 def test_preprocess_matches_reference_bitwise(dim):
     rng = np.random.default_rng(200 + dim)
     n0 = int(rng.integers(0, dim))
@@ -236,8 +264,10 @@ def test_preprocess_matches_reference_bitwise(dim):
     specs = {
         "identity": identity_channel_spec(dim),
         "tail": tail_recovery_spec(dim, n0, lam),
-        "random": random_spec(dim, rng),
     }
+    if dim in DIMS:  # the dense reference costs O(D^3 aux); D = 256 takes the band specs
+        specs["random"] = random_spec(dim, rng)
+        specs["two-offset"] = two_offset_spec(dim, np.random.default_rng(250 + dim))
     for name, m in families(dim, rng).items():
         for kind, spec in specs.items():
             got = outcome(preprocess, m, spec)
@@ -277,3 +307,19 @@ def test_recover_state_reference_recovers_states():
         got = recover_state(m).weights
         assert same_bits(got, _reference_recover_state(m).weights)
         assert math.isclose(got[2], 0.5, abs_tol=1e-6)
+
+
+@pytest.mark.parametrize("dim", (2, 64, 256))
+def test_effect_operator_matches_reference_bitwise(dim):
+    rng = np.random.default_rng(500 + dim)
+    arcs = [
+        Arc.half(),
+        Arc.full(),
+        Arc.interval(5.9, 1.0),  # wraps past 2pi
+        Arc(((0.2, 0.9), (4.0, 1.3))),
+        Arc(((6.0, 0.5), (1.0, 0.3), (3.0, 2.0))),  # three components, the first wraps
+    ] + [Arc.interval(rng.uniform(0.0, TWO_PI), rng.uniform(0.01, TWO_PI)) for _ in range(4)]
+    for name, m in families(dim, rng).items():
+        for arc in arcs:
+            want = _reference_effect_operator(m, arc)
+            assert same_bits(effect_operator(m, arc), want), (name, arc)

@@ -326,6 +326,13 @@ def test_smear_subcommand(tmp_path, capsys, monkeypatch):
     assert code == 0
     m = PhaseMatrix.from_dict(json.loads(out))
     assert np.abs(m.entries - np.eye(5)).max() == 0.0
+    # 1 - 1.2 sin(512 theta) dips to -0.2, between the points of a 1024-point grid
+    coeffs = [[1.0, 0.0]] + [[0.0, 0.0]] * 511 + [[0.0, 0.6]]
+    nu_path.write_text(json.dumps({"atoms": [], "density_coeffs": coeffs}))
+    monkeypatch.setattr("sys.stdin", io.StringIO(gen_out))
+    assert main(["smear", "--nu", str(nu_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {nu_path}: density dips to -0.19999999")
 
 
 # --- verdict pipelines ----------------------------------------------------------------

@@ -71,6 +71,10 @@ def test_finite_measure_refuses_nan_and_empty_weights():
     with pytest.raises(ValueError, match="at least one weight"):
         FiniteMeasure(())
     assert FiniteMeasure((0.25, 0.75)).weights == (0.25, 0.75)
+    # a weight may dip below 0 by the probability-vector slack, not further
+    assert FiniteMeasure((1.0 + 5e-13, -5e-13)).weights == (1.0 + 5e-13, -5e-13)
+    with pytest.raises(ValueError, match="measure weights must be nonnegative"):
+        FiniteMeasure((1.0 + 2e-12, -2e-12))
 
 
 # --- observables ----------------------------------------------------------------

@@ -240,6 +240,32 @@ def test_density_coherent_concentrates_at_the_phase():
     assert abs(thetas[int(vals.argmax())] - 1.0) < 0.05
 
 
+def _direct_density(matrix, rho, grid):
+    """The outcome density as a direct trig sum over a grid x (2D - 1) table."""
+    d = matrix.dim
+    a = matrix.entries * rho.entries.T
+    modes = np.array([np.trace(a, offset=-k) for k in range(-(d - 1), d)])
+    thetas = np.linspace(0.0, TWO_PI, grid, endpoint=False)
+    ks = np.arange(-(d - 1), d)
+    return thetas, (np.exp(1j * np.outer(thetas, ks)) @ modes).real / TWO_PI
+
+
+@pytest.mark.parametrize("dim", (2, 64, 256))
+def test_density_matches_direct_trig_sum(dim):
+    """The folded FFT agrees with the direct sum, also where the grid (16) is below 2D - 1."""
+    rng = np.random.default_rng(600 + dim)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    mixed = DensityMatrix((g @ g.conj().T) / np.trace(g @ g.conj().T).real)
+    coherent = CoherentVector(1.5 * unit(0.7), dim).density_matrix()
+    for m in (state_generated([0.3, 0.7], dim), chessboard(0.3 + 0.4j, dim), example5(dim)):
+        for rho in (mixed, coherent):
+            for grid in (16, 512, 720, 4096):
+                thetas, vals = density(m, rho, grid)
+                want_thetas, want = _direct_density(m, rho, grid)
+                assert np.array_equal(thetas, want_thetas)
+                assert np.abs(vals - want).max() <= 1e-13, (grid, np.abs(vals - want).max())
+
+
 def test_prob_full_circle_and_additivity():
     m = state_generated([0.5, 0.5], 10)
     rho = DiagonalState.number_state(1).density_matrix(10)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from phaseopt.measure import Arc, DensityMatrix, density, effect_norm
 from phaseopt.optimal import (
+    MAX_DENSITY_COEFFS,
     CircleMeasure,
     CovariantChannelSpec,
     CriterionInapplicableError,
@@ -81,12 +82,24 @@ def test_circle_measure_mass_validation():
     ):
         with pytest.raises(ValueError):  # every NaN test fails, so NaN is refused
             CircleMeasure(atoms=atoms, density_coeffs=coeffs)
+    # an atom weight may dip below 0 by the probability-vector slack, not further
+    CircleMeasure(atoms=((1.0, 1.0 + 5e-13), (-1.0, -5e-13)))
+    with pytest.raises(ValueError, match="atom weights must be nonnegative"):
+        CircleMeasure(atoms=((1.0, 1.0 + 2e-12), (-1.0, -2e-12)))
 
 
 def test_circle_measure_rejects_negative_density():
     # h = 1 + 2 cos(theta) dips negative
     with pytest.raises(ValueError):
         CircleMeasure(density_coeffs=(1.0, 1.0))
+    # 1 - 1.2 sin(K theta) dips to -0.2 between the points of a 1024-point grid
+    for k in (512, 1024):
+        with pytest.raises(ValueError, match=r"density dips to -0\.19999999"):
+            CircleMeasure(density_coeffs=(1.0,) + (0.0,) * (k - 1) + (0.6j,))
+    CircleMeasure(density_coeffs=(1.0, 0.5))  # 1 + cos(theta) touches 0 on the grid
+    CircleMeasure(density_coeffs=(1.0,) + (0.0,) * (MAX_DENSITY_COEFFS - 1))
+    with pytest.raises(ValueError, match=f"more than {MAX_DENSITY_COEFFS}"):
+        CircleMeasure(density_coeffs=(1.0,) + (0.0,) * MAX_DENSITY_COEFFS)
 
 
 def test_circle_measure_convolution_multiplies_fourier():
