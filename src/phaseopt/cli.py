@@ -164,9 +164,12 @@ def _parse_arc(spec: str) -> Arc:
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError:
         raise CliError(f"cannot parse complex number {text!r}")
+    if not np.isfinite(value):
+        raise CliError(f"complex number {text!r} is not finite")
+    return value
 
 
 def _report(args, data: dict, failed: bool) -> int:

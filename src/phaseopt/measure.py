@@ -17,7 +17,8 @@ from numpy.polynomial.legendre import leggauss
 
 from ._serialize import matrix_from_dict, matrix_to_dict
 from .phase_matrix import (
-    EPS_PSD, _EPS_HERM, PhaseMatrix, _mirror_lower, _probability_vector, _toeplitz, psd_certified)
+    EPS_PSD, _EPS_HERM, PhaseMatrix, _hermitian_rebuild, _probability_vector, _toeplitz,
+    psd_certified)
 from .specfun import displacement_element
 
 __all__ = [
@@ -38,6 +39,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_GRID = 512
+# smallest stored coherent amplitude: the square of anything below it is not a normal float
+_AMP_FLOOR = math.sqrt(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -161,9 +164,9 @@ class DensityMatrix:
             raise ValueError("state must be a square matrix")
         if not np.isfinite(rho).all():
             raise ValueError("state entries must be finite")
-        if np.abs(rho - rho.conj().T).max() > _EPS_HERM:
+        dev, rho = _hermitian_rebuild(rho)
+        if dev.max() > _EPS_HERM:
             raise ValueError("state is not Hermitian")
-        rho = _mirror_lower(rho)
         if abs(rho.trace().real - 1.0) > 1e-10:
             raise ValueError(f"state trace {rho.trace().real} is not 1")
         if not psd_certified(rho, EPS_PSD):
@@ -229,7 +232,12 @@ class CoherentVector:
 
     ``fidelity`` is the probability weight of the untruncated state that
     the first ``dim`` levels capture; callers should gate on it before
-    trusting concentration results.
+    trusting concentration results.  A non-finite ``z``, or one whose
+    captured weight underflows to 0, raises ``ValueError``.  Amplitudes
+    below ``_AMP_FLOOR`` are stored as exact 0 (``fidelity`` is taken
+    before): their weight is not a normal float, and their products
+    would drive the Cholesky certificate of the density matrix through
+    subnormal arithmetic.
     """
 
     z: complex
@@ -239,6 +247,8 @@ class CoherentVector:
 
     def __post_init__(self):
         z = complex(self.z)
+        if not np.isfinite(z):
+            raise ValueError(f"coherent amplitude must be finite, got {z}")
         n = np.arange(self.dim)
         if z == 0:
             amps = np.zeros(self.dim, dtype=np.complex128)
@@ -251,7 +261,13 @@ class CoherentVector:
             )
             amps = np.exp(log_mod) * np.exp(1j * n * np.angle(z))
             captured = float(np.exp(2 * log_mod).sum())
+            if not captured > 0.0:
+                raise ValueError(
+                    f"the weight of the coherent state at z = {z} in its first "
+                    f"{self.dim} levels underflows to 0"
+                )
             amps = amps / math.sqrt(captured)
+            amps[np.abs(amps) < _AMP_FLOOR] = 0.0
         amps.flags.writeable = False
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "amplitudes", amps)

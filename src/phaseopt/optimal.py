@@ -18,7 +18,8 @@ import numpy as np
 from .measure import TWO_PI, DiagonalState, _trig_on_grid
 from ._serialize import complex_from_pairs, is_finite_real
 from .phase_matrix import (
-    EPS_EQUIV, EPS_RANK, _EPS_PROB, EtaSystem, PhaseMatrix, _toeplitz, gram_factor)
+    EPS_EQUIV, EPS_RANK, _EPS_PROB, EtaSystem, PhaseMatrix, _lapack_operand, _toeplitz,
+    gram_factor)
 from .specfun import c_fock_0_2k
 
 __all__ = [
@@ -604,7 +605,8 @@ def preclean_check(matrix: PhaseMatrix, tol: float = DEFAULT_TAIL_TOL) -> Option
     tail must span at least two indices.  The stored matrix is Hermitian
     by construction, so ``|c|`` is exactly symmetric and the minimum over
     the block from n0 on is the minimum of the upper-triangle row minima
-    of rows n0..D-1: one suffix minimum decides every candidate.
+    of rows n0..D-1: one suffix minimum decides every candidate.  A tail
+    whose entries are all real takes the real ``eigvalsh``.
     """
     d = matrix.dim
     upper = np.where(np.tri(d, k=-1, dtype=bool), np.inf, np.abs(matrix.entries))
@@ -614,7 +616,7 @@ def preclean_check(matrix: PhaseMatrix, tol: float = DEFAULT_TAIL_TOL) -> Option
         return None
     n0 = int(hits[0])
     tail = matrix.entries[n0:, n0:]
-    w = np.linalg.eigvalsh(tail)
+    w = np.linalg.eigvalsh(_lapack_operand(tail))
     k = d - n0
     if k > 1 and w[-2] > 4.0 * k * tol + 1e-10:
         return None

@@ -87,10 +87,32 @@ class ValidationReport:
         }
 
 
-def _mirror_lower(a: np.ndarray) -> np.ndarray:
-    """Hermitian matrix built structurally from the lower triangle of `a`."""
-    lower = np.tril(a, -1)
-    return lower + lower.conj().T + np.diag(np.diag(a).real)
+def _hermitian_rebuild(a: np.ndarray):
+    """``(|a - a^*|, h)`` with ``h`` the Hermitian matrix built from the lower triangle of ``a``.
+
+    One conjugate transpose serves both: it is the deviation's operand, then the buffer of
+    ``h``, whose strict lower triangle is copied from ``a`` and whose diagonal is ``Re a``.
+    The closing ``+= 0.0`` turns every -0.0 into +0.0, so ``h`` is the sum
+    ``tril(a, -1) + tril(a, -1)^* + diag(Re a)`` bit for bit.
+    """
+    h = np.conjugate(a.T, order="C")
+    dev = np.abs(a - h)
+    np.copyto(h, a, where=np.tri(a.shape[0], k=-1, dtype=bool))
+    np.fill_diagonal(h, a.diagonal().real)
+    h += 0.0
+    return dev, h
+
+
+def _lapack_operand(a: np.ndarray) -> np.ndarray:
+    """``a.real`` (a view) when every imaginary part of ``a`` is exactly 0, else ``a``.
+
+    numpy picks the LAPACK routine by dtype, so a Hermitian matrix with real entries is
+    handed to the real ``syevd``/``potrf`` rather than the costlier complex
+    ``heevd``/``zpotrf``; no cutoff reads the dtype.
+    """
+    if np.iscomplexobj(a) and not a.imag.any():
+        return a.real
+    return a
 
 
 def _toeplitz(table: np.ndarray) -> np.ndarray:
@@ -107,10 +129,12 @@ def psd_certified(h: np.ndarray, eps: float) -> bool:
     factorization's small backward error (Higham, *Accuracy and Stability
     of Numerical Algorithms*, 2nd ed., ch. 10).  Finiteness is tested
     here because LAPACK returns a NaN factor of a NaN matrix without
-    failing.  ``h`` is not modified.
+    failing.  ``h`` is not modified; a complex ``h`` whose imaginary
+    parts are all 0 is factored in real arithmetic (:func:`_lapack_operand`).
     """
     if not np.isfinite(h).all():
         return False
+    h = _lapack_operand(h)
     shifted = np.array(h, dtype=np.result_type(h, np.float64))
     shifted[np.diag_indices_from(shifted)] += eps
     try:
@@ -127,6 +151,9 @@ def validate(entries) -> ValidationReport:
     ``1 + 10 * EPS_PSD`` pass.  Returns a verdict object rather than
     raising; the failed condition and a witness (offending entry, or the
     ``eigvalsh`` minimum of a matrix that did not factorize) are reported.
+    The certificate runs in real arithmetic when every imaginary part is
+    0 (:func:`_lapack_operand`); the witness, computed only for a refused
+    matrix, keeps the complex ``eigvalsh`` so that its reported value holds.
     """
     a = np.asarray(entries, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
@@ -149,7 +176,7 @@ def validate(entries) -> ValidationReport:
             witness=witness,
         )
 
-    herm = np.abs(a - a.conj().T)
+    herm, h = _hermitian_rebuild(a)
     herm_dev = float(herm.max())
     if herm_dev > _EPS_HERM:
         failures.append("hermitian")
@@ -161,7 +188,6 @@ def validate(entries) -> ValidationReport:
         failures.append("unit_diagonal")
         witness["diagonal_index"] = int(np.abs(np.diag(a) - 1.0).argmax())
 
-    h = _mirror_lower(a)
     psd = psd_certified(h, EPS_PSD)
     if not psd:
         failures.append("psd")
@@ -266,7 +292,8 @@ def chessboard(xi: complex, dim: int) -> PhaseMatrix:
     ``xi*e0 + sqrt(1-|xi|^2)*e1`` (odd slots); requires ``|xi| <= 1``.
     """
     xi = complex(xi)
-    if abs(xi) > 1.0 + 1e-12:
+    # written so that a NaN fails it
+    if not abs(xi) <= 1.0 + 1e-12:
         raise ValueError(f"|xi| must be <= 1, got {abs(xi)}")
     c = np.empty((dim, dim), dtype=np.complex128)
     idx = np.arange(dim)
@@ -348,18 +375,19 @@ def gram_factor(matrix: PhaseMatrix) -> EtaSystem:
     kept is the numerical rank at this truncation.  The factor is cached
     on the (immutable) matrix, so a repeated call returns the same
     :class:`EtaSystem` without a second ``eigh``; its ``vectors`` are
-    therefore read-only.
+    therefore read-only.  A matrix whose entries are all real is factored
+    by the real ``eigh`` (:func:`_lapack_operand`), at the same cutoff.
     """
     if matrix._gram is not None:
         return matrix._gram
-    w, q = np.linalg.eigh(matrix.entries)
+    w, q = np.linalg.eigh(_lapack_operand(matrix.entries))
     keep = w > EPS_RANK * w[-1]
     wk = w[keep]
     vectors = q[:, keep].conj() * np.sqrt(wk)
     # eigenvector roundoff can leave norms a hair off 1; renormalize rows
     vectors /= np.linalg.norm(vectors, axis=1)[:, None]
-    vectors.flags.writeable = False
     eta = EtaSystem(rank=int(keep.sum()), vectors=vectors)
+    eta.vectors.flags.writeable = False
     object.__setattr__(matrix, "_gram", eta)
     return eta
 
@@ -387,8 +415,9 @@ def u_equivalent(
     finds its unvisited neighbours with one array test, in index order;
     the phase arithmetic stays scalar, because numpy's array complex
     multiply and ``abs`` do not round like the scalar ones, and the
-    result is pinned bit for bit.  Returns ``None`` when no such sequence
-    exists at this truncation.
+    result is pinned bit for bit.  The search stops once every index has
+    a phase.  Returns ``None`` when no such sequence exists at this
+    truncation.
     """
     if m1.dim != m2.dim:
         raise ValueError("dimension mismatch")
@@ -398,12 +427,15 @@ def u_equivalent(
         return None
     support = np.abs(c2) > tol
     lam = np.zeros(d, dtype=np.complex128)
+    unphased = d
     for root in range(d):
         if lam[root] != 0:
             continue
         lam[root] = 1.0
+        unphased -= 1
         queue = deque([root])
-        while queue:
+        # once every index has a phase, the dequeues left find no neighbour to visit
+        while queue and unphased:
             m = queue.popleft()
             # lam[m] != 0 already, so m is not its own neighbour here
             for n in np.nonzero(support[m] & (lam == 0))[0].tolist():
@@ -414,6 +446,7 @@ def u_equivalent(
                 if abs(mag - 1.0) > 10 * tol:
                     return None
                 lam[n] = cand / mag
+                unphased -= 1
                 queue.append(n)
     residual = c1 - np.outer(lam.conj(), lam) * c2
     if np.abs(residual).max() > tol:

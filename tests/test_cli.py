@@ -755,6 +755,17 @@ def test_malformed_input_is_diagnosed(tmp_path, capsys, monkeypatch):
     path.write_text('{"dim": 2, "entries": [[0.5, 0], [NaN, 0], [0, 0], [0.5, 0]]}')
     assert main(["density", "--state-file", str(path), "--in", str(matrix_path)]) == 1
     assert capsys.readouterr() == ("", f"error: {path}: state entries must be finite\n")
+    for argv, message in (
+        (["density", "--coherent=40", "--grid", "8", "--in", str(matrix_path)],
+         "the weight of the coherent state at z = (40+0j) in its first 4 levels underflows to 0"),
+        (["density", "--coherent=nan", "--grid", "8", "--in", str(matrix_path)],
+         "complex number 'nan' is not finite"),
+        (["density", "--coherent=1+infj", "--in", str(matrix_path)],
+         "complex number '1+infj' is not finite"),
+        (["gen", "chessboard", "--dim", "4", "--xi=nan"], "complex number 'nan' is not finite"),
+    ):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
     for atoms in (
         5,
         [[0.0, 1.0]],

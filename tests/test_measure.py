@@ -205,6 +205,55 @@ def test_coherent_vector_matches_exact_amplitudes():
     assert np.abs(cv.amplitudes - direct).max() < 1e-12
 
 
+@pytest.mark.parametrize("z", [math.nan, complex(1.0, math.inf), -math.inf])
+def test_coherent_vector_refuses_nonfinite_amplitude(z, recwarn):
+    with pytest.raises(ValueError, match="coherent amplitude must be finite"):
+        CoherentVector(z, 8)
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("z, dim", [(40.0, 8), (30.0j, 4), (1e200, 16)])
+def test_coherent_vector_refuses_a_weightless_truncation(z, dim, recwarn):
+    with pytest.raises(ValueError, match="levels underflows to 0"):
+        CoherentVector(z, dim)
+    assert not recwarn.list
+
+
+def unfloored_coherent(z, dim):
+    """The coherent state with every amplitude kept, subnormal products included."""
+    n = np.arange(dim)
+    log_mod = -0.5 * abs(z) ** 2 + n * math.log(abs(z)) - 0.5 * np.array(
+        [math.lgamma(k + 1.0) for k in range(dim)]
+    )
+    amps = np.exp(log_mod) * np.exp(1j * n * np.angle(z))
+    return DensityMatrix.from_pure(amps / math.sqrt(float(np.exp(2 * log_mod).sum())))
+
+
+def has_subnormal(entries) -> bool:
+    return any(
+        ((part != 0) & (np.abs(part) < np.finfo(float).tiny)).any()
+        for part in (entries.real, entries.imag)
+    )
+
+
+# at D = 256 the unfloored states of |z| <= 1 hold subnormal products; that of 2.5 + 1j does not
+@pytest.mark.parametrize("z, unfloored_subnormal", [(0.5, True), (1.0, True), (2.5 + 1.0j, False)])
+def test_coherent_density_matrix_holds_no_subnormal_entry(z, unfloored_subnormal):
+    assert not has_subnormal(CoherentVector(z, 256).density_matrix().entries)
+    assert has_subnormal(unfloored_coherent(z, 256).entries) is unfloored_subnormal
+
+
+@pytest.mark.parametrize("dim", [64, 256])
+@pytest.mark.parametrize("z", [0.5, 1.0, 2.5 + 1.0j])
+def test_amplitude_floor_leaves_density_bitwise(dim, z):
+    floored = CoherentVector(z, dim).density_matrix()
+    reference = unfloored_coherent(z, dim)
+    for m in (state_generated([0.3, 0.7], dim), canonical(dim), chessboard(0.3 + 0.4j, dim)):
+        for grid in (16, 512, 720):
+            got, want = density(m, floored, grid)[1], density(m, reference, grid)[1]
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (grid, m)
+
+
 # --- density and prob ------------------------------------------------------------
 
 

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaseopt.optimal import extremal_check
 from phaseopt.phase_matrix import (
+    EPS_RANK,
+    EtaSystem,
     PhaseMatrix,
     TruncationError,
     canonical,
@@ -123,6 +126,9 @@ def test_chessboard_rank_two():
 def test_chessboard_rejects_large_xi():
     with pytest.raises(ValueError):
         chessboard(1.2, 4)
+    for xi in (math.nan, complex(0.5, math.nan), math.inf):
+        with pytest.raises(ValueError, match=r"\|xi\| must be <= 1"):
+            chessboard(xi, 4)
 
 
 def test_state_generated_known_entries():
@@ -193,6 +199,33 @@ def test_gram_factor_vectors_are_read_only():
     assert not eta.vectors.flags.writeable
     with pytest.raises(ValueError):
         eta.vectors[0, 0] = 0.0
+
+
+def complex_route(m):
+    """Rank and extremality span of ``m`` from the complex ``eigh`` route."""
+    w, q = np.linalg.eigh(m.entries.astype(np.complex128))
+    keep = w > EPS_RANK * w[-1]
+    vectors = q[:, keep].conj() * np.sqrt(w[keep])
+    vectors /= np.linalg.norm(vectors, axis=1)[:, None]
+    return extremal_check(EtaSystem(rank=int(keep.sum()), vectors=vectors))
+
+
+@pytest.mark.parametrize("dim", [17, 64, 256])
+def test_real_families_factor_like_the_complex_route(dim):
+    rng = np.random.default_rng(dim)
+    v = rng.normal(size=(dim, 3))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    for name, m in (
+        ("state", state_generated([0.3, 0.0, 0.5, 0.0, 0.0, 0.2], dim)),
+        ("canonical", canonical(dim)),
+        ("example4", example4(5, dim)),
+        ("eta", from_eta(v)),
+    ):
+        assert not m.entries.imag.any(), name
+        eta = gram_factor(m)
+        assert eta.vectors.dtype == np.complex128 and not eta.vectors.flags.writeable, name
+        report, reference = extremal_check(eta), complex_route(m)
+        assert (report.rank, report.span_dim) == (reference.rank, reference.span_dim), name
 
 
 def test_from_eta_trivial_families():

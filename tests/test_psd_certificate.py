@@ -22,6 +22,8 @@ from phaseopt.optimal import (
 )
 from phaseopt.phase_matrix import (
     EPS_PSD,
+    _hermitian_rebuild,
+    _lapack_operand,
     canonical,
     chessboard,
     example4,
@@ -149,3 +151,44 @@ def test_validate_reports_the_certified_bound_or_the_eigvalsh_witness():
     nonfinite = bad.copy()
     nonfinite[0, 0] = np.nan
     assert validate(nonfinite).min_eigenvalue_bound is None
+
+
+def test_lapack_operand_is_the_real_view_only_when_every_imaginary_part_is_zero():
+    h = canonical(6).entries.copy()
+    h[1, 0] = complex(0.5, -0.0)
+    h[0, 1] = complex(0.5, 0.0)
+    real = _lapack_operand(h)
+    assert real.dtype == np.float64 and np.shares_memory(real, h)
+    assert np.array_equal(real, h.real)
+    for tiny in (5e-324, -5e-324):
+        g = h.copy()
+        g[3, 1], g[1, 3] = complex(1.0, tiny), complex(1.0, -tiny)
+        assert _lapack_operand(g) is g
+    plain = np.eye(3)
+    assert _lapack_operand(plain) is plain
+
+
+@pytest.mark.parametrize("dim", [8, 64, 256])
+@pytest.mark.parametrize("delta", [0.9e-10, 1.1e-10])
+def test_real_and_complex_certificates_agree_across_the_cutoff(dim, delta):
+    rng = np.random.default_rng(dim)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    h = (q * np.concatenate([[-delta], rng.uniform(0.5, 1.5, dim - 1)])) @ q.T
+    h = (h + h.T) / 2
+    certified = delta < EPS_PSD
+    assert psd_certified(h, EPS_PSD) is certified
+    assert psd_certified(h.astype(np.complex128), EPS_PSD) is certified
+
+
+def test_hermitian_rebuild_matches_the_sum_form_bitwise():
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 7, 64):
+        a = rng.choice([0.0, -0.0, 1.5, -2.0], size=(dim, dim)) + 1j * rng.choice(
+            [0.0, -0.0, 0.5], size=(dim, dim)
+        )
+        lower = np.tril(a, -1)
+        expected = lower + lower.conj().T + np.diag(np.diag(a).real)
+        dev, h = _hermitian_rebuild(a)
+        assert h.flags.c_contiguous
+        assert np.array_equal(h.view(np.uint64), expected.view(np.uint64)), dim
+        assert np.array_equal(dev, np.abs(a - a.conj().T)), dim
