@@ -183,9 +183,9 @@ def test_real_and_complex_certificates_agree_across_the_cutoff(dim, delta):
 def test_hermitian_rebuild_matches_the_sum_form_bitwise():
     rng = np.random.default_rng(11)
     for dim in (1, 2, 7, 64):
-        a = rng.choice([0.0, -0.0, 1.5, -2.0], size=(dim, dim)) + 1j * rng.choice(
-            [0.0, -0.0, 0.5], size=(dim, dim)
-        )
+        a = np.empty((dim, dim), dtype=np.complex128)
+        a.real = rng.choice([0.0, -0.0, 1.5, -2.0], size=(dim, dim))
+        a.imag = rng.choice([0.0, -0.0, 0.5], size=(dim, dim))
         lower = np.tril(a, -1)
         expected = lower + lower.conj().T + np.diag(np.diag(a).real)
         dev, h = _hermitian_rebuild(a)
