@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .phase_matrix import _EPS_PROB, psd_certified
+from .phase_matrix import _probability_ok, psd_certified
 
 __all__ = [
     "CyclicRep",
@@ -71,6 +71,10 @@ _EPS_CHANNEL_COVARIANCE = 1e-10
 # slack of the exhaustive sweeps when they compare two norms of one subset
 # (convexity, saturation, equality under preprocessing)
 _EPS_SWEEP = 1e-9
+# relative least eigenvalue of a singular group average: its S^(-1/2) would scale by 1e6
+_EPS_SINGULAR = 1e-12
+# is_channel's Choi Hermiticity and PSD slack; its partial trace gets 100 times this
+_EPS_CHANNEL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -139,35 +143,15 @@ class FiniteMeasure:
         if not w:
             raise ValueError("a measure needs at least one weight")
         # every test is written so that a NaN fails it
-        if not all(x >= -_EPS_PROB for x in w):
+        if not _probability_ok(w):
             raise ValueError("measure weights must be nonnegative numbers")
-        if not abs(sum(w) - 1.0) <= _EPS_PROB:
+        if not _probability_ok(mass=sum(w)):
             raise ValueError(f"measure weights sum to {sum(w)}")
         object.__setattr__(self, "weights", w)
 
     @property
     def order(self) -> int:
         return len(self.weights)
-
-    @staticmethod
-    def dirac(order: int, x: int) -> "FiniteMeasure":
-        w = [0.0] * order
-        w[x % order] = 1.0
-        return FiniteMeasure(tuple(w))
-
-    @staticmethod
-    def uniform(order: int) -> "FiniteMeasure":
-        return FiniteMeasure(tuple([1.0 / order] * order))
-
-    def convolve(self, other: "FiniteMeasure") -> "FiniteMeasure":
-        n = self.order
-        if other.order != n:
-            raise ValueError("order mismatch")
-        out = [0.0] * n
-        for a, wa in enumerate(self.weights):
-            for b, wb in enumerate(other.weights):
-                out[(a + b) % n] += wa * wb
-        return FiniteMeasure(tuple(out))
 
 
 def _finite_seed(seed) -> np.ndarray:
@@ -308,7 +292,7 @@ def make_covariant(rep: CyclicRep, seed: np.ndarray) -> FiniteCovariantObservabl
     seed = _finite_seed(seed)
     avg = sum(rep.conjugate(seed))
     w, q = np.linalg.eigh(avg)
-    if w[0] < 1e-12 * max(w[-1], 1.0):
+    if w[0] < _EPS_SINGULAR * max(w[-1], 1.0):
         raise ValueError("seed does not generate a POVM (singular group average)")
     inv_sqrt = (q * (1.0 / np.sqrt(w))) @ q.conj().T
     return FiniteCovariantObservable(rep, inv_sqrt @ seed @ inv_sqrt)
@@ -412,17 +396,17 @@ def choi_matrix(superop: np.ndarray) -> np.ndarray:
     return k4.transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
-def is_channel(superop: np.ndarray, tol: float = 1e-10) -> bool:
-    """Complete positivity (PSD Choi) plus trace preservation."""
+def is_channel(superop: np.ndarray) -> bool:
+    """Complete positivity (PSD Choi) plus trace preservation, at ``_EPS_CHANNEL``."""
     d = int(round(math.sqrt(superop.shape[0])))
     choi = choi_matrix(superop)
-    if np.abs(choi - choi.conj().T).max() > tol:
+    if np.abs(choi - choi.conj().T).max() > _EPS_CHANNEL:
         return False
-    if not psd_certified(choi, tol):
+    if not psd_certified(choi, _EPS_CHANNEL):
         return False
     # partial trace of the Choi matrix over the output slot must be I
     ptrace = choi.reshape(d, d, d, d).trace(axis1=1, axis2=3)
-    return bool(np.abs(ptrace - np.eye(d)).max() <= 100 * tol)
+    return bool(np.abs(ptrace - np.eye(d)).max() <= 100 * _EPS_CHANNEL)
 
 
 def covariantize(rep: CyclicRep, superop: np.ndarray) -> np.ndarray:

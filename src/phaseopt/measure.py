@@ -18,7 +18,7 @@ from numpy.polynomial.legendre import leggauss
 from ._serialize import matrix_from_dict, matrix_to_dict
 from .phase_matrix import (
     EPS_PSD, _EPS_HERM, PhaseMatrix, _hermitian_rebuild, _probability_vector, _toeplitz,
-    psd_certified)
+    _unimodular, psd_certified)
 from .specfun import displacement_element
 
 __all__ = [
@@ -41,6 +41,14 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_GRID = 512
 # smallest stored coherent amplitude: the square of anything below it is not a normal float
 _AMP_FLOOR = math.sqrt(np.finfo(float).tiny)
+# excess over 2pi of one arc component, and overlap of two, read as endpoint rounding
+_ARC_SLACK = 1e-12
+# excess over 2pi of the total arc length, room for the rounding of many components
+_ARC_TOTAL_SLACK = 1e-9
+# a component ending this close above 2pi is kept whole, not split off a wrapped sliver
+_ARC_WRAP_SLACK = 1e-15
+# slack of a state's unit trace, the rounding of a normalized D x D state
+_EPS_TRACE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -56,31 +64,28 @@ class Arc:
 
     def __post_init__(self):
         comps = []
+        intervals = []  # the components as non-wrapping intervals inside [0, 2pi)
         for start, length in self.components:
-            if not 0.0 < length <= TWO_PI + 1e-12:
+            if not 0.0 < length <= TWO_PI + _ARC_SLACK:
                 raise ValueError(f"arc length {length} outside (0, 2pi]")
-            comps.append((float(start) % TWO_PI, min(float(length), TWO_PI)))
+            start = float(start)
+            if not math.isfinite(start):
+                raise ValueError(f"arc start {start} is not finite")
+            start, length = start % TWO_PI, min(float(length), TWO_PI)
+            comps.append((start, length))
+            end = start + length
+            if end <= TWO_PI + _ARC_WRAP_SLACK:
+                intervals.append((start, end))
+            else:
+                intervals += [(start, TWO_PI), (0.0, end - TWO_PI)]
         total = sum(l for _, l in comps)
-        if total > TWO_PI + 1e-9:
+        if total > TWO_PI + _ARC_TOTAL_SLACK:
             raise ValueError(f"total arc length {total} exceeds 2pi")
-        intervals = sorted(self._unwrapped(comps))
+        intervals.sort()
         for (a0, b0), (a1, b1) in zip(intervals, intervals[1:]):
-            if a1 < b0 - 1e-12:
+            if a1 < b0 - _ARC_SLACK:
                 raise ValueError("arc components overlap")
         object.__setattr__(self, "components", tuple(comps))
-
-    @staticmethod
-    def _unwrapped(comps) -> list:
-        """Components as sorted non-wrapping intervals inside [0, 2pi)."""
-        out = []
-        for start, length in comps:
-            end = start + length
-            if end <= TWO_PI + 1e-15:
-                out.append((start, end))
-            else:
-                out.append((start, TWO_PI))
-                out.append((0.0, end - TWO_PI))
-        return out
 
     @staticmethod
     def interval(start: float, length: float) -> "Arc":
@@ -93,44 +98,6 @@ class Arc:
     @staticmethod
     def half() -> "Arc":
         return Arc(((0.0, math.pi),))
-
-    @property
-    def measure(self) -> float:
-        """Normalized length (Haar measure) of the arc."""
-        return sum(l for _, l in self.components) / TWO_PI
-
-    def rotated(self, phi: float) -> "Arc":
-        return Arc(tuple((s + phi, l) for s, l in self.components))
-
-    def complement(self) -> "Arc":
-        gaps = []
-        intervals = sorted(self._unwrapped(self.components))
-        merged = []
-        for a, b in intervals:
-            if merged and a <= merged[-1][1] + 1e-15:
-                merged[-1][1] = max(merged[-1][1], b)
-            else:
-                merged.append([a, b])
-        if not merged:
-            return Arc.full()
-        for (_, b0), (a1, _) in zip(merged, merged[1:]):
-            if a1 - b0 > 1e-15:
-                gaps.append((b0, a1 - b0))
-        head = merged[0][0]
-        tail = TWO_PI - merged[-1][1]
-        wrap = tail + head
-        if wrap > 1e-15:
-            gaps.append((merged[-1][1] % TWO_PI, wrap))
-        if not gaps:
-            raise ValueError("complement of the full circle is empty")
-        return Arc(tuple(gaps))
-
-    def contains(self, theta: float) -> bool:
-        t = theta % TWO_PI
-        for a, b in self._unwrapped(self.components):
-            if a <= t < b:
-                return True
-        return False
 
 
 def _fourier_arc_table(arc: Arc, ks: np.ndarray) -> np.ndarray:
@@ -167,7 +134,7 @@ class DensityMatrix:
         dev, rho = _hermitian_rebuild(rho)
         if dev.max() > _EPS_HERM:
             raise ValueError("state is not Hermitian")
-        if abs(rho.trace().real - 1.0) > 1e-10:
+        if abs(rho.trace().real - 1.0) > _EPS_TRACE:
             raise ValueError(f"state trace {rho.trace().real} is not 1")
         if not psd_certified(rho, EPS_PSD):
             raise ValueError("state is not positive semidefinite")
@@ -211,19 +178,6 @@ class DiagonalState:
     @property
     def support_max(self) -> int:
         return self.weights.size - 1
-
-    @staticmethod
-    def number_state(s: int) -> "DiagonalState":
-        w = np.zeros(s + 1)
-        w[s] = 1.0
-        return DiagonalState(w)
-
-    def density_matrix(self, dim: int) -> DensityMatrix:
-        if dim <= self.support_max:
-            raise ValueError("dim too small for the state's support")
-        rho = np.zeros((dim, dim), dtype=np.complex128)
-        rho[: self.weights.size, : self.weights.size] = np.diag(self.weights)
-        return DensityMatrix(rho)
 
 
 @dataclass(frozen=True)
@@ -327,7 +281,7 @@ def prob(matrix: PhaseMatrix, rho: DensityMatrix, arc: Arc) -> float:
 
 def number_unitary(t: complex, dim: int) -> np.ndarray:
     """Number representation U(t) = diag(t**n) for |t| = 1."""
-    if abs(abs(t) - 1.0) > 1e-12:
+    if not _unimodular(t):
         raise ValueError("t must lie on the unit circle")
     return np.diag(complex(t) ** np.arange(dim))
 

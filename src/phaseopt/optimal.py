@@ -18,8 +18,8 @@ import numpy as np
 from .measure import TWO_PI, DiagonalState, _trig_on_grid
 from ._serialize import complex_from_pairs, is_finite_real
 from .phase_matrix import (
-    EPS_EQUIV, EPS_RANK, _EPS_PROB, EtaSystem, PhaseMatrix, _lapack_operand, _toeplitz,
-    gram_factor)
+    EPS_EQUIV, EPS_RANK, EtaSystem, PhaseMatrix, _lapack_operand, _probability_ok, _toeplitz,
+    _unimodular, gram_factor)
 from .specfun import c_fock_0_2k
 
 __all__ = [
@@ -51,21 +51,29 @@ DEFAULT_SHARP_KMAX = 3
 # (deviation ~ k^2 (2s+1) / (8m); worst case in the suite is ~0.09)
 DEFAULT_SHARP_TOL = 0.2
 DEFAULT_TAIL_TOL = 1e-6
+# growth between sharpness window maxima read as rounding, not as a rising trend
+_EPS_TREND = 1e-12
+# largest imaginary part read as 0 (h_0 of a real density, a real-entried matrix)
+_EPS_IMAG = 1e-12
+# a witness pair's entry modulus must be below 1 - this: nearer parallel, it resolves nothing
+_EPS_PAIR = 1e-9
 # largest trace of the real-entries witness against a projector
 _EPS_WITNESS = 1e-10
+# dip below 0 of a CircleMeasure density on its grid read as the rounding of a touch at 0
+_EPS_DENSITY = 1e-10
+# floor of post_equiv_class's tol, so that tol = 0 does not demand exact agreement
+_EPS_TRANSLATE = 1e-12
+# slack of the unit total weight of each q-slice of a CovariantChannelSpec
+_EPS_CHANNEL_WEIGHT = 1e-10
+# floor of preclean_check's second-eigenvalue bound 4 k tol: eigvalsh rounding at tol = 0
+_EPS_TAIL_EIGEN = 1e-10
 # slack in the recovered weights and total mass of recover_state
 _RECOVERY_TOL = 1e-6
+# noise of one (0, 2k) entry read by recover_state, a generous bound on the kernel's rounding
+_RECOVERY_ENTRY_EPS = 1e-13
 # Most density_coeffs a CircleMeasure takes: its positivity test evaluates the density on
 # 8 points per coefficient, 8 MB of complex values at this bound.
 MAX_DENSITY_COEFFS = 1 << 16
-
-
-def _atoms_fourier(atoms, k: int) -> complex:
-    """Sum of w * p**(-k) over the (position, weight) atoms."""
-    out = 0.0j
-    for pos, w in atoms:
-        out += w * pos ** (-k)
-    return out
 
 
 @dataclass(frozen=True)
@@ -88,65 +96,49 @@ class CircleMeasure:
         atoms = []
         for pos, w in self.atoms:
             pos = complex(pos)
-            if not abs(abs(pos) - 1.0) <= 1e-12:
+            if not _unimodular(pos):
                 raise ValueError("atom positions must be unimodular")
-            if not w >= -_EPS_PROB:
+            if not _probability_ok((w,)):
                 raise ValueError("atom weights must be nonnegative numbers")
             atoms.append((pos, float(w)))
         coeffs = tuple(complex(c) for c in self.density_coeffs)
         mass = sum(w for _, w in atoms) + (coeffs[0].real if coeffs else 0.0)
-        if not abs(mass - 1.0) <= _EPS_PROB:
+        if not _probability_ok(mass=mass):
             raise ValueError(f"total mass {mass} is not 1")
         if len(coeffs) > MAX_DENSITY_COEFFS:
             raise ValueError(
                 f"density_coeffs holds {len(coeffs)} coefficients, more than {MAX_DENSITY_COEFFS}"
             )
         if coeffs:
-            if abs(coeffs[0].imag) > 1e-12:
+            if abs(coeffs[0].imag) > _EPS_IMAG:
                 raise ValueError("h_0 must be real")
+            bad = np.flatnonzero(~np.isfinite(coeffs))
+            if bad.size:
+                raise ValueError(f"density coefficient h_{bad[0]} = {coeffs[bad[0]]} is not finite")
             # 8 points per period of the top mode: a degree-K density cannot hide a dip
             # between points, as it can on a grid of K points or fewer
             points = max(1024, 8 * (len(coeffs) - 1))
             vals = _trig_on_grid(np.arange(len(coeffs)), np.asarray(coeffs), points).real
             vals = 2.0 * vals - coeffs[0].real  # add conjugate modes
-            if not vals.min() >= -1e-10:
+            if not vals.min() >= -_EPS_DENSITY:
                 raise ValueError(f"density dips to {vals.min()} on the grid")
         object.__setattr__(self, "atoms", tuple(atoms))
         object.__setattr__(self, "density_coeffs", coeffs)
 
     @staticmethod
-    def haar() -> "CircleMeasure":
-        return CircleMeasure(density_coeffs=(1.0,))
-
-    @staticmethod
     def dirac(x: complex) -> "CircleMeasure":
         return CircleMeasure(atoms=((x, 1.0),))
 
-    @staticmethod
-    def from_atoms(pairs) -> "CircleMeasure":
-        return CircleMeasure(atoms=tuple(pairs))
-
     def fourier(self, k: int) -> complex:
-        out = _atoms_fourier(self.atoms, k)
+        out = 0.0j
+        for pos, w in self.atoms:
+            out += w * pos ** (-k)
         if self.density_coeffs:
             ak = abs(k)
             if ak < len(self.density_coeffs):
                 c = self.density_coeffs[ak]
                 out += c if k >= 0 else c.conjugate()
         return complex(out)
-
-    def convolve(self, other: "CircleMeasure") -> "CircleMeasure":
-        """Convolution; Fourier coefficients multiply."""
-        atoms = [
-            (p1 * p2, w1 * w2) for p1, w1 in self.atoms for p2, w2 in other.atoms
-        ]
-        deg = max(len(self.density_coeffs), len(other.density_coeffs)) - 1
-        coeffs = []
-        if deg >= 0:
-            for k in range(deg + 1):
-                total = self.fourier(k) * other.fourier(k)
-                coeffs.append(total - _atoms_fourier(atoms, k))
-        return CircleMeasure(atoms=tuple(atoms), density_coeffs=tuple(coeffs))
 
     def to_dict(self) -> dict:
         return {
@@ -247,7 +239,7 @@ def approx_sharp_check(
                 dev = max(dev, float(np.abs(seg - u ** k).max()))
             maxima.append(dev)
     tail_dev = maxima[-1] if maxima else float("nan")
-    monotone = all(a >= b - 1e-12 for a, b in zip(maxima, maxima[1:]))
+    monotone = all(a >= b - _EPS_TREND for a, b in zip(maxima, maxima[1:]))
     verdict = "consistent" if (tail_dev < tol and monotone) else "inconsistent"
     return SharpnessReport(
         estimated_u=complex(u),
@@ -316,7 +308,7 @@ class RealEntriesCertificate:
 
 def real_nonextremal_shortcut(matrix: PhaseMatrix) -> Optional[RealEntriesCertificate]:
     """Certificate that a real-entried matrix of rank > 1 is not extremal."""
-    if np.abs(matrix.entries.imag).max() > 1e-12:
+    if np.abs(matrix.entries.imag).max() > _EPS_IMAG:
         return None
     eta = gram_factor(matrix)
     if eta.rank <= 1:
@@ -324,7 +316,7 @@ def real_nonextremal_shortcut(matrix: PhaseMatrix) -> Optional[RealEntriesCertif
     mods = np.abs(matrix.entries.copy())
     np.fill_diagonal(mods, 1.0)
     m, n = np.unravel_index(int(mods.argmin()), mods.shape)
-    if mods[m, n] > 1.0 - 1e-9:
+    if mods[m, n] > 1.0 - _EPS_PAIR:
         return None
     v = eta.vectors
     witness = np.outer(v[m], v[n].conj()) - np.outer(v[n], v[m].conj())
@@ -340,9 +332,6 @@ def real_nonextremal_shortcut(matrix: PhaseMatrix) -> Optional[RealEntriesCertif
 
 class NotStateGeneratedError(ValueError):
     """The matrix is not consistent with any diagonal state at this depth."""
-
-
-_RECOVERY_ENTRY_EPS = 1e-13
 
 
 @lru_cache(maxsize=512)
@@ -466,7 +455,7 @@ def post_equiv_class(
     exponents = -np.arange(-(d - 1), d)  # n - m along the Toeplitz table
     for x in candidates:
         factor = _toeplitz(np.power(x, exponents))
-        if np.abs(c2 - c1 * factor).max() <= max(tol, 1e-12) * 10:
+        if np.abs(c2 - c1 * factor).max() <= max(tol, _EPS_TRANSLATE) * 10:
             return x
     return None
 
@@ -505,7 +494,7 @@ class CovariantChannelSpec:
             raise ValueError("phi must have shape (D, D, aux)")
         weights = (np.abs(phi) ** 2).sum(axis=(1, 2))
         # written so that a NaN weight fails it
-        if not np.abs(weights - 1.0).max() <= 1e-10:
+        if not np.abs(weights - 1.0).max() <= _EPS_CHANNEL_WEIGHT:
             raise ValueError("each q-slice of phi must carry unit total weight")
         phi.flags.writeable = False
         object.__setattr__(self, "phi", phi)
@@ -618,6 +607,6 @@ def preclean_check(matrix: PhaseMatrix, tol: float = DEFAULT_TAIL_TOL) -> Option
     tail = matrix.entries[n0:, n0:]
     w = np.linalg.eigvalsh(_lapack_operand(tail))
     k = d - n0
-    if k > 1 and w[-2] > 4.0 * k * tol + 1e-10:
+    if k > 1 and w[-2] > 4.0 * k * tol + _EPS_TAIL_EIGEN:
         return None
     return n0

@@ -50,6 +50,9 @@ _EPS_HERM = 1e-12
 # serves both: an entry floor tighter than the sum slack would refuse a vector whose
 # rounding the sum test forgives.
 _EPS_PROB = 1e-12
+# how far a circle point may leave |x| = 1, and chessboard's |xi| exceed 1: the rounding
+# of a point built as exp(i phi), far below any modulus an input means
+_EPS_UNIMODULAR = 1e-12
 # number states at or above this level are refused by state_generated
 LEVEL_CUTOFF = 64
 
@@ -240,14 +243,6 @@ class PhaseMatrix:
     def __repr__(self):
         return f"PhaseMatrix(dim={self.dim})"
 
-    def __getitem__(self, idx):
-        return self.entries[idx]
-
-    def allclose(self, other: "PhaseMatrix", tol: float = 1e-12) -> bool:
-        return self.dim == other.dim and bool(
-            np.abs(self.entries - other.entries).max() <= tol
-        )
-
     def to_dict(self) -> dict:
         return matrix_to_dict(self.entries)
 
@@ -293,7 +288,7 @@ def chessboard(xi: complex, dim: int) -> PhaseMatrix:
     """
     xi = complex(xi)
     # written so that a NaN fails it
-    if not abs(xi) <= 1.0 + 1e-12:
+    if not abs(xi) <= 1.0 + _EPS_UNIMODULAR:
         raise ValueError(f"|xi| must be <= 1, got {abs(xi)}")
     c = np.empty((dim, dim), dtype=np.complex128)
     idx = np.arange(dim)
@@ -305,14 +300,25 @@ def chessboard(xi: complex, dim: int) -> PhaseMatrix:
     return PhaseMatrix(c)
 
 
-def _probability_vector(weights) -> np.ndarray:
-    """The weights as a flat float array; ValueError unless they are a probability vector.
+def _unimodular(x: complex) -> bool:
+    """True iff ``|x|`` is within ``_EPS_UNIMODULAR`` of 1; a NaN fails it."""
+    return abs(abs(x) - 1.0) <= _EPS_UNIMODULAR
 
-    Entries may dip to -_EPS_PROB and the sum may miss 1 by _EPS_PROB; the test
-    is written so that a NaN fails it.
+
+def _probability_ok(weights=(), mass: float = 1.0) -> bool:
+    """The probability-vector rule: no weight below -_EPS_PROB, and mass within _EPS_PROB of 1.
+
+    A caller sums ``mass`` in its own order, and tests each part alone by leaving the other
+    at its default when it reports the two apart.  Written so that a NaN fails it.
     """
+    floor_ok = np.all(np.asarray(weights) >= -_EPS_PROB)
+    return bool(floor_ok and abs(mass - 1.0) <= _EPS_PROB)
+
+
+def _probability_vector(weights) -> np.ndarray:
+    """The weights as a flat float array; ValueError unless they are a probability vector."""
     lam = np.asarray(weights, dtype=float).ravel()
-    if not (lam.size and lam.min() >= -_EPS_PROB and abs(lam.sum() - 1.0) <= _EPS_PROB):
+    if not (lam.size and _probability_ok(lam, lam.sum())):
         shown = np.array2string(lam, separator=", ", threshold=8)
         raise ValueError(f"weights must be a probability vector, got {shown}")
     return lam
@@ -395,7 +401,7 @@ def gram_factor(matrix: PhaseMatrix) -> EtaSystem:
 def translate(matrix: PhaseMatrix, x: complex) -> PhaseMatrix:
     """Rotate the observable by the circle point x: entries pick up x**(n-m)."""
     x = complex(x)
-    if abs(abs(x) - 1.0) > 1e-12:
+    if not _unimodular(x):
         raise ValueError(f"translation point must be unimodular, |x|={abs(x)}")
     d = matrix.dim
     powers = x ** np.arange(d)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -333,6 +334,15 @@ def test_smear_subcommand(tmp_path, capsys, monkeypatch):
     assert main(["smear", "--nu", str(nu_path)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {nu_path}: density dips to -0.19999999")
+    # refused by name before the grid evaluation, with no RuntimeWarning
+    for bad, shown in (("Infinity", "(inf+0j)"), ("NaN", "(nan+0j)")):
+        nu_path.write_text(f'{{"atoms": [], "density_coeffs": [[1, 0], [{bad}, 0]]}}')
+        monkeypatch.setattr("sys.stdin", io.StringIO(gen_out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["smear", "--nu", str(nu_path)]) == 1
+        message = f"error: {nu_path}: density coefficient h_1 = {shown} is not finite\n"
+        assert capsys.readouterr() == ("", message), bad
 
 
 # --- verdict pipelines ----------------------------------------------------------------
@@ -734,6 +744,10 @@ def test_malformed_input_is_diagnosed(tmp_path, capsys, monkeypatch):
         (["norm-sweep", "--dims", "0"], "--dims must list positive integers, got '0'"),
         (["gen", "state", "--levels", "x@0"], "level spec 'x@0' is not 'weight@level'"),
         (["norm-sweep", "--arc", "x:1"], "arc component 'x:1' is not 'start:length'"),
+        (["norm-sweep", "--arc", "nan:1.0"], "arc start nan is not finite"),
+        (["norm-sweep", "--arc", "inf:1.0"], "arc start inf is not finite"),
+        (["norm-sweep", "--arc", "0:1,-inf:1"], "arc start -inf is not finite"),
+        (["oracle-et", "--arc", "nan:1.0"], "arc start nan is not finite"),
         (["validate", "--in", str(tmp_path)], f"[Errno 21] Is a directory: '{tmp_path}'"),
         (["gen", "state", "--levels", "nan@0,1@1", "--dim", "4"],
          "weights must be a probability vector, got [nan,  1.]"),

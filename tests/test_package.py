@@ -1,6 +1,7 @@
 """The public surface of the ``phaseopt`` package."""
 
 import argparse
+import ast
 import importlib
 import inspect
 import re
@@ -116,3 +117,37 @@ def test_readme_configuration_table_lists_exactly_the_config_keys():
     assert listed == DOCUMENTED_FLAGS
     tolerant = [f"check {c} --tol" for c, (tol, _) in cli._CHECKS.items() if tol is not None]
     assert sorted(tolerant) == sorted(f for f in listed if f.startswith("check "))
+
+
+def _named_constant_ids(tree: ast.Module) -> set:
+    """The ids of the literals inside module-level assignments to UPPER_CASE names."""
+    named = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        names = [t.id if isinstance(t, ast.Name) else "" for t in targets]
+        if all(re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name) for name in names):
+            named.update(id(c) for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return named
+
+
+def test_every_tolerance_is_a_named_module_constant():
+    # a tolerance written inline, or as a keyword default, fails here: each has one
+    # named source beside its peers, with the reason for its value
+    inline = []
+    for path in sorted(Path(phaseopt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        named = _named_constant_ids(tree)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, float)
+                and 0.0 < abs(node.value) <= 1e-6
+                and id(node) not in named
+            ):
+                inline.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert inline == []
