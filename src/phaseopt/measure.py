@@ -17,8 +17,8 @@ from numpy.polynomial.legendre import leggauss
 
 from ._serialize import matrix_from_dict, matrix_to_dict
 from .phase_matrix import (
-    EPS_PSD, _EPS_HERM, PhaseMatrix, _hermitian_rebuild, _probability_vector, _toeplitz,
-    _unimodular, psd_certified)
+    EPS_PSD, _EPS_HERM, PhaseMatrix, _hermitian_rebuild, _lapack_operand, _probability_vector,
+    _toeplitz, _unimodular, psd_certified)
 from .specfun import displacement_element
 
 __all__ = [
@@ -237,9 +237,31 @@ def effect_operator(matrix: PhaseMatrix, arc: Arc) -> np.ndarray:
     return matrix.entries * _toeplitz(_fourier_arc_table(arc, np.arange(-(d - 1), d)))
 
 
+def _centred_arc_table(arc: Arc, ks: np.ndarray) -> np.ndarray:
+    """:func:`fourier_arc` times ``exp(-i k phi)`` at each integer of ``ks``, with ``phi`` the
+    first component's midpoint: ``sum_j exp(i k (mid_j - phi)) sin(k L_j / 2) / (pi k)``.
+    The first term carries no phase factor, so a one-component arc gives a real table."""
+    nonzero = ks != 0
+    k = np.where(nonzero, ks, 1)  # k = 0 takes the arc measure below, not this quotient
+    mids = [start + 0.5 * length for start, length in arc.components]
+    amps = [np.where(nonzero, np.sin(0.5 * k * length) / (math.pi * k), length / TWO_PI)
+            for _, length in arc.components]
+    total = amps[0]
+    for mid, amp in zip(mids[1:], amps[1:]):
+        total = total + amp * np.exp(1j * ks * (mid - mids[0]))
+    return total
+
+
 def effect_norm(matrix: PhaseMatrix, arc: Arc) -> float:
-    """Operator norm (largest eigenvalue) of the effect of the arc."""
-    return float(np.linalg.eigvalsh(effect_operator(matrix, arc))[-1])
+    """Operator norm (largest eigenvalue) of the effect of the arc.
+
+    It is read from ``U E U^*`` with ``U = diag(exp(-i n phi))``, a unitary similarity that
+    keeps the spectrum of :func:`effect_operator`.  Its table (:func:`_centred_arc_table`) is
+    real for a one-component arc, so a real-entried matrix goes to the real ``syevd``.
+    """
+    d = matrix.dim
+    centred = matrix.entries * _toeplitz(_centred_arc_table(arc, np.arange(-(d - 1), d)))
+    return float(np.linalg.eigvalsh(_lapack_operand(centred))[-1])
 
 
 def _trig_on_grid(freqs: np.ndarray, coeffs: np.ndarray, points: int) -> np.ndarray:

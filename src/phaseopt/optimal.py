@@ -18,8 +18,8 @@ import numpy as np
 from .measure import TWO_PI, DiagonalState, _trig_on_grid
 from ._serialize import complex_from_pairs, is_finite_real
 from .phase_matrix import (
-    EPS_EQUIV, EPS_RANK, EtaSystem, PhaseMatrix, _lapack_operand, _probability_ok, _toeplitz,
-    _unimodular, gram_factor)
+    EPS_EQUIV, EPS_RANK, EtaSystem, PhaseMatrix, _from_powers, _lapack_operand, _probability_ok,
+    _toeplitz, _unimodular, gram_factor)
 from .specfun import c_fock_0_2k
 
 __all__ = [
@@ -61,6 +61,9 @@ _EPS_PAIR = 1e-9
 _EPS_WITNESS = 1e-10
 # dip below 0 of a CircleMeasure density on its grid read as the rounding of a touch at 0
 _EPS_DENSITY = 1e-10
+# excess of a CircleMeasure's |h_k| over h_0: a density p >= -eps has |h_k| <= mean |p|,
+# which is at most h_0 + 2 eps
+_EPS_DENSITY_COEFF = 2.0 * _EPS_DENSITY
 # floor of post_equiv_class's tol, so that tol = 0 does not demand exact agreement
 _EPS_TRANSLATE = 1e-12
 # slack of the unit total weight of each q-slice of a CovariantChannelSpec
@@ -115,6 +118,12 @@ class CircleMeasure:
             bad = np.flatnonzero(~np.isfinite(coeffs))
             if bad.size:
                 raise ValueError(f"density coefficient h_{bad[0]} = {coeffs[bad[0]]} is not finite")
+            # refused before the grid, where a huge coefficient overflows
+            over = np.flatnonzero(np.abs(coeffs) > coeffs[0].real + _EPS_DENSITY_COEFF)
+            if over.size:
+                k = over[0]
+                raise ValueError(f"density coefficient |h_{k}| = {abs(coeffs[k])} exceeds "
+                                 f"h_0 = {coeffs[0].real}, which no nonnegative density allows")
             # 8 points per period of the top mode: a degree-K density cannot hide a dip
             # between points, as it can on a grid of K points or fewer
             points = max(1024, 8 * (len(coeffs) - 1))
@@ -170,7 +179,7 @@ def smear(matrix: PhaseMatrix, nu: CircleMeasure) -> PhaseMatrix:
     """Postprocess by a circle measure: entries multiply by nu_hat(m - n)."""
     d = matrix.dim
     coeffs = np.array([nu.fourier(k) for k in range(-(d - 1), d)])
-    return PhaseMatrix(matrix.entries * _toeplitz(coeffs))
+    return _from_powers(matrix.entries * _toeplitz(coeffs), "atom", [p for p, _ in nu.atoms])
 
 
 @dataclass(frozen=True)
@@ -282,13 +291,19 @@ def extremal_check(eta: EtaSystem) -> ExtremalReport:
     dimension is the rank of the whitened Hilbert-Schmidt Gram matrix
     ``|Q Q^*|^2`` (entrywise).  ``Q Q^*`` projects onto C's kept eigenspace,
     so this rank does not depend on the spread of C's eigenvalues, and it is
-    read at ``EPS_RANK``, the cutoff that fixed r: one cutoff decides.
+    read at ``EPS_RANK``, the cutoff that fixed r: one cutoff decides.  A real factor takes
+    the real QR.  When r^2 < D the spectrum is read from the r^2 x r^2 matrix ``K^* K``, with
+    ``K[m, (i, j)] = conj(q_mi) q_mj``: ``K K^* = |Q Q^*|^2`` has the same nonzero spectrum.
     """
-    r = eta.rank
-    q, _ = np.linalg.qr(eta.vectors)
-    w = np.linalg.eigvalsh(np.abs(q @ q.conj().T) ** 2)
+    r, d = eta.rank, eta.dim
+    q, _ = np.linalg.qr(_lapack_operand(eta.vectors))
+    if r * r < d:
+        k = (q.conj()[:, :, None] * q[:, None, :]).reshape(d, r * r)
+        w = np.linalg.eigvalsh(k.conj().T @ k)
+    else:
+        w = np.linalg.eigvalsh(np.abs(q @ q.conj().T) ** 2)
     span = int((w > EPS_RANK * w[-1]).sum())
-    return ExtremalReport(span == r * r, r, span, r * r, eta.dim)
+    return ExtremalReport(span == r * r, r, span, r * r, d)
 
 
 @dataclass(frozen=True)
@@ -533,53 +548,23 @@ def tail_recovery_spec(dim: int, n0: int, lambdas) -> CovariantChannelSpec:
 def preprocess(matrix: PhaseMatrix, spec: CovariantChannelSpec) -> PhaseMatrix:
     """Phase matrix of the observable measured after the covariant channel.
 
-    For p >= q the new entry is
-    ``sum_n c[n, n + (p - q)] * <phi[q, n], phi[p, n + (p - q)]>``,
-    completed by Hermitian symmetry; vectors beyond the truncation edge
-    count as 0.  Only the offsets ``t = n - q`` at which the spec has a
-    nonzero vector contribute, so ``phi`` is gathered once into the band
-    ``band[q, i] = phi[q, q + t_i]``.  For each diagonal j the overlaps
-    ``<phi[q, q + t], phi[q + j, q + t + j]>`` are one ``einsum`` over the
-    band, scattered into a (D - j) x (D - j) view of one zeroed array, and
-    one matrix-vector product against ``c``'s j-th diagonal sums them.
-    Building the blocks takes O(D^2 |T| aux) work in all, against O(D^3 aux)
-    for the dense overlaps; each block equals the dense one, so every
-    entry is the same ``zgemv`` sum, bit for bit.
+    Entry (q, p) is ``sum_n c[n, n + (p - q)] * <phi[q, n], phi[p, n + (p - q)]>``, vectors
+    beyond the truncation edge counting as 0.  Only offsets ``t = n - q`` where the spec has a
+    nonzero vector contribute: with ``B_t[q] = phi[q, q + t]`` and ``G_t[q, p] = <B_t[q], B_t[p]>``
+    the entry is ``sum_t G_t[q, p] c[q + t, p + t]``, one Schur product per offset, O(D^2 |T| aux)
+    work by ``einsum`` and elementwise products with no BLAS call.  Each ``G_t`` is exactly
+    Hermitian, and the identity spec returns the entries of ``matrix`` bit for bit.
     """
     if spec.dim != matrix.dim:
         raise ValueError("channel spec dimension does not match the matrix")
-    d = matrix.dim
-    c = matrix.entries
-    phi = spec.phi
+    d, c, phi = matrix.dim, matrix.entries, spec.phi
     rows, cols = np.nonzero(phi.any(axis=2))
-    offsets = np.unique(cols - rows)  # sorted
-    levels = np.arange(d)
-    band_cols = levels[:, None] + offsets
-    inside = (band_cols >= 0) & (band_cols < d)
-    band = np.zeros((d, offsets.size, phi.shape[2]), dtype=np.complex128)
-    band[inside] = phi[np.nonzero(inside)[0], band_cols[inside]]
-    band_conj = band.conj()
-    # Row q of the block keeps column n at q * width + pad + n, so every band entry has a
-    # slot in its own row and step j reads the (D - j) x (D - j) view from column pad on.
-    # Each step rewrites every in-view slot of an offset in the band, and the others are
-    # never written, so no reset is needed.
-    pad = max(0, -offsets[0])
-    width = pad + d + max(0, offsets[-1])
-    slots = levels[:, None] * width + pad + band_cols
-    block = np.zeros((d, width), dtype=np.complex128)
-    flat_block = block.reshape(-1)
-    sizes = d - levels
-    los = np.searchsorted(offsets, 1 - sizes)  # only offsets with |t| < D - j reach the view
-    his = np.searchsorted(offsets, sizes)
     out = np.zeros((d, d), dtype=np.complex128)
-    flat = out.reshape(-1)
-    for j, size, lo, hi in zip(levels.tolist(), sizes.tolist(), los.tolist(), his.tolist()):
-        flat_block[slots[:size, lo:hi]] = np.einsum(
-            "qta,qta->qt", band_conj[:size, lo:hi], band[j:, lo:hi]
-        )
-        vals = block[:size, pad : pad + size] @ np.diagonal(c, offset=j)
-        flat[j :: d + 1][:size] = vals
-        flat[j * d :: d + 1][:size] = vals.conj()
+    for t in np.unique(cols - rows).tolist():
+        lo, hi = max(0, -t), min(d, d - t)
+        band = phi[np.arange(lo, hi), np.arange(lo + t, hi + t)]
+        gram = np.einsum("qa,pa->qp", band.conj(), band)
+        out[lo:hi, lo:hi] += gram * c[lo + t : hi + t, lo + t : hi + t]
     return PhaseMatrix(out)
 
 

@@ -305,6 +305,27 @@ def _unimodular(x: complex) -> bool:
     return abs(abs(x) - 1.0) <= _EPS_UNIMODULAR
 
 
+def _from_powers(entries: np.ndarray, what: str, points) -> "PhaseMatrix":
+    """``PhaseMatrix(entries)`` for entries built from powers of unimodular ``points``.
+
+    :func:`_unimodular` lets ``|x|`` leave 1 by ``_EPS_UNIMODULAR``, and powers up to D - 1
+    drift by ``| |x|^(2 (D - 1)) - 1 |``.  A refusal names a point whose drift exceeds
+    ``_EPS_HERM``, with D and the drift, rather than the matrix check that failed.
+    """
+    try:
+        return PhaseMatrix(entries)
+    except ValueError:
+        d = entries.shape[0]
+        drifts = {x: abs(abs(x) ** (2 * (d - 1)) - 1.0) for x in points}
+        x = max(drifts, key=drifts.get, default=None)
+        if x is None or not drifts[x] > _EPS_HERM:
+            raise
+        raise ValueError(
+            f"{what} {x} has |x| - 1 = {abs(x) - 1.0:.3g}: at D = {d} the modulus of its "
+            f"powers drifts {drifts[x]:.3g} from 1, past the phase-matrix slack {_EPS_HERM}"
+        ) from None
+
+
 def _probability_ok(weights=(), mass: float = 1.0) -> bool:
     """The probability-vector rule: no weight below -_EPS_PROB, and mass within _EPS_PROB of 1.
 
@@ -406,7 +427,7 @@ def translate(matrix: PhaseMatrix, x: complex) -> PhaseMatrix:
     d = matrix.dim
     powers = x ** np.arange(d)
     c = matrix.entries * np.outer(powers.conj(), powers)
-    return PhaseMatrix(c)
+    return _from_powers(c, "translation point", (x,))
 
 
 def u_equivalent(

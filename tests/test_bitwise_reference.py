@@ -6,6 +6,9 @@ and ``effect_operator`` that the library's array forms replace.  The array
 forms run the same floating-point operations on the same operands in the
 same order, so every output must agree in every bit, compared through
 ``.view(np.uint64)`` (or ``is None`` where the answer can be ``None``).
+The one exception is ``preprocess``, which sums its terms by offset rather
+than by diagonal: it agrees in every bit on the identity spec, and on the
+other specs within the rounding bound of :func:`preprocess_bound`.
 """
 
 import math
@@ -256,8 +259,30 @@ def two_offset_spec(dim, rng, aux=2):
     return CovariantChannelSpec(phi / np.sqrt((np.abs(phi) ** 2).sum(axis=(1, 2)))[:, None, None])
 
 
+def preprocess_bound(matrix, spec):
+    """Entrywise rounding bound ``gamma_n * S`` between two summation orders of ``preprocess``.
+
+    ``S[q, p]`` is the entry's absolute sum ``sum_n |c[n, n + p - q]| sum_a |phi[q, n, a]|
+    |phi[p, n + p - q, a]|``, and ``gamma_n = n u / (1 - n u)`` with u the unit roundoff of
+    float64 and n = aux |T| + 1, for the aux |T| products of each entry and their scaling by
+    c (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 3).
+    """
+    d = matrix.dim
+    c, phi = np.abs(matrix.entries), np.abs(spec.phi)
+    rows, cols = np.nonzero(spec.phi.any(axis=2))
+    n = phi.shape[2] * np.unique(cols - rows).size + 1
+    u = np.finfo(np.float64).eps / 2
+    total = np.zeros((d, d))
+    for j in range(d):
+        vals = np.einsum("qna,qna->qn", phi[: d - j, : d - j], phi[j:, j:]) @ np.diagonal(c, j)
+        q = np.arange(d - j)
+        total[q, q + j] = total[q + j, q] = vals
+    return n * u / (1 - n * u) * total
+
+
 @pytest.mark.parametrize("dim", DIMS + (256,))
 def test_preprocess_matches_reference_bitwise(dim):
+    """Refusals agree exactly, the identity spec in every bit, the others within the bound."""
     rng = np.random.default_rng(200 + dim)
     n0 = int(rng.integers(0, dim))
     lam = np.exp(2j * np.pi * rng.random(dim))
@@ -274,8 +299,14 @@ def test_preprocess_matches_reference_bitwise(dim):
             want = outcome(_reference_preprocess, m, spec)
             if isinstance(want, tuple):
                 assert got == want, (name, kind)
-            else:
+                continue
+            assert not isinstance(got, tuple), (name, kind, got)
+            if kind == "identity":
                 assert same_bits(got.entries, want.entries), (name, kind)
+                assert same_bits(got.entries, m.entries), (name, kind)
+            else:
+                dev = np.abs(got.entries - want.entries)
+                assert (dev <= preprocess_bound(m, spec)).all(), (name, kind, dev.max())
 
 
 @pytest.mark.parametrize("dim", DIMS)

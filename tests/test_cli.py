@@ -345,6 +345,20 @@ def test_smear_subcommand(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr() == ("", message), bad
 
 
+def test_smear_refuses_coefficient_above_h0(tmp_path, capsys, monkeypatch):
+    """A huge density coefficient is refused by name, with no overflow RuntimeWarning."""
+    _, gen_out = run_cli(capsys, "gen", "canonical", "--dim", "5")
+    nu_path = tmp_path / "nu.json"
+    nu_path.write_text('{"atoms": [], "density_coeffs": [[1, 0], [1e308, 1e308]]}')
+    monkeypatch.setattr("sys.stdin", io.StringIO(gen_out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["smear", "--nu", str(nu_path)]) == 1
+    message = (f"error: {nu_path}: density coefficient |h_1| = 1.4142135623730951e+308 "
+               "exceeds h_0 = 1.0, which no nonnegative density allows\n")
+    assert capsys.readouterr() == ("", message)
+
+
 # --- verdict pipelines ----------------------------------------------------------------
 
 

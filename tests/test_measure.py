@@ -13,6 +13,8 @@ from phaseopt.measure import (
     CoherentVector,
     DensityMatrix,
     DiagonalState,
+    _centred_arc_table,
+    _fourier_arc_table,
     _oracle_window,
     density,
     effect_norm,
@@ -22,7 +24,8 @@ from phaseopt.measure import (
     number_unitary,
     prob,
 )
-from phaseopt.phase_matrix import canonical, chessboard, example5, state_generated
+from phaseopt.phase_matrix import (
+    _lapack_operand, _toeplitz, canonical, chessboard, example4, example5, state_generated)
 from phaseopt.specfun import c_state, displacement_element
 
 
@@ -194,6 +197,46 @@ def test_effect_norm_basics():
     a = effect_norm(m, Arc.interval(0.0, 1.0))
     b = effect_norm(m, Arc.interval(0.0, 2.0))
     assert a <= b <= 1.0 + 1e-10
+
+
+_NORM_FAMILIES = {
+    "state": lambda d: state_generated([0.5, 0.0, 0.3, 0.2], d),
+    "canonical": canonical,
+    "chessboard-real": lambda d: chessboard(0.5, d),
+    "chessboard-complex": lambda d: chessboard(0.3 + 0.4j, d),
+    "example4": lambda d: example4(min(3, d - 1), d),
+    "example5": example5,
+}
+_NORM_ARCS = (
+    Arc.interval(1.0, 2.0),
+    Arc.interval(5.9, 1.0),  # wraps past 2pi
+    Arc(((0.2, 0.9), (4.0, 1.3))),
+    Arc(((6.0, 0.5), (1.0, 0.3), (3.0, 2.0))),  # three components, the first wraps
+    Arc.full(),
+)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 17, 64, 256])
+def test_effect_norm_matches_eigvalsh_of_effect_operator(dim):
+    for name, build in _NORM_FAMILIES.items():
+        m = build(dim)
+        for arc in _NORM_ARCS:
+            want = np.linalg.eigvalsh(effect_operator(m, arc))[-1]
+            assert abs(effect_norm(m, arc) - want) <= 1e-13, (name, arc)
+
+
+def test_centred_arc_table_of_one_component_is_real():
+    ks = np.arange(-255, 256)
+    for arc in (Arc.interval(1.0, 2.0), Arc.interval(5.9, 1.0), Arc.half(), Arc.full()):
+        table = _centred_arc_table(arc, ks)
+        assert np.all(np.imag(table) == 0), arc
+        start, length = arc.components[0]
+        rotated = _fourier_arc_table(arc, ks) * np.exp(-1j * ks * (start + 0.5 * length))
+        assert np.abs(table - rotated).max() < 1e-14, arc
+        # so the effect of a real-entried matrix is handed to real LAPACK
+        assert np.isrealobj(_lapack_operand(canonical(256).entries * _toeplitz(table)))
+    two = _centred_arc_table(Arc(((0.2, 0.9), (4.0, 1.3))), ks)
+    assert np.abs(two.imag).max() > 0.1
 
 
 def test_effect_norm_increases_with_truncation():

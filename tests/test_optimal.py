@@ -29,6 +29,7 @@ from phaseopt.optimal import (
     tail_recovery_spec,
 )
 from phaseopt.phase_matrix import (
+    EPS_RANK,
     PhaseMatrix,
     canonical,
     chessboard,
@@ -114,6 +115,30 @@ def test_circle_measure_rejects_negative_density():
         ):
             with pytest.raises(ValueError, match=f"density coefficient {shown} is not finite"):
                 CircleMeasure(density_coeffs=coeffs)
+
+
+def test_circle_measure_refuses_coefficient_above_h0():
+    """A nonnegative density has |h_k| <= h_0; a larger one is refused before the grid."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for coeffs, shown in (
+            ((1.0, 1e308), r"\|h_1\| = 1e\+308 exceeds h_0 = 1\.0"),
+            ((1.0, complex(1e308, 1e308)), r"\|h_1\| = 1\.4142135623730951e\+308 exceeds"),
+            ((0.25, 0.0, 0.3), r"\|h_2\| = 0\.3 exceeds h_0 = 0\.25"),
+        ):
+            with pytest.raises(ValueError, match=shown):
+                CircleMeasure(atoms=((1.0, 1.0 - coeffs[0]),), density_coeffs=coeffs)
+    # |h_1| = h_0: 1 + cos(theta) touches 0, and it is still accepted
+    CircleMeasure(density_coeffs=(1.0, 0.5 + 0.0j))
+    CircleMeasure(atoms=((1.0, 0.5),), density_coeffs=(0.5, 0.25j))
+
+
+def test_smear_names_a_drifting_atom():
+    """An atom _unimodular accepts may drift past the matrix slack at large D: named."""
+    nu = CircleMeasure(atoms=((1 + 0.9e-12, 1.0),))
+    with pytest.raises(ValueError, match=r"atom \(1\.0000000000009\+0j\) has \|x\| - 1 = 9e-13: "
+                       r"at D = 256 the modulus of its powers drifts 4\.59e-10 from 1"):
+        smear(state_generated([1.0], 256), nu)
 
 
 def test_circle_measure_convolution_multiplies_fourier():
@@ -303,6 +328,28 @@ def test_extremal_verdict_matches_svd_span(family, dim):
     rep = extremal_check(eta)
     assert rep.rank == eta.rank and rep.required == eta.rank ** 2
     assert rep.extremal == (_svd_span(eta) == eta.rank ** 2)
+
+
+def _dense_whitened_report(eta):
+    """``(extremal, rank, span_dim)`` from the D x D matrix |Q Q^*|^2 of the complex QR."""
+    q, _ = np.linalg.qr(eta.vectors)
+    w = np.linalg.eigvalsh(np.abs(q @ q.conj().T) ** 2)
+    span = int((w > EPS_RANK * w[-1]).sum())
+    return span == eta.rank ** 2, eta.rank, span
+
+
+@pytest.mark.parametrize("dim", [16, 64])
+def test_extremal_check_matches_dense_whitened_span(dim):
+    builds = {name: build(dim) for name, build in _SPAN_FAMILIES.items()}
+    if dim == 64:  # ranks 7, 8 and 9: r^2 below, at and above D
+        builds.update({f"example4-{n0}": example4(n0, dim) for n0 in (6, 7, 8)})
+    routes = set()
+    for name, m in builds.items():
+        eta = gram_factor(m)
+        rep = extremal_check(eta)
+        assert (rep.extremal, rep.rank, rep.span_dim) == _dense_whitened_report(eta), name
+        routes.add((rep.rank ** 2 > dim) - (rep.rank ** 2 < dim))
+    assert routes == {-1, 0, 1}  # r^2 below, at and above D
 
 
 @pytest.mark.parametrize("rank", [2, 3])

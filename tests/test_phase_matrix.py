@@ -324,6 +324,23 @@ def test_translate_rejects_off_circle():
         translate(canonical(4), 0.9)
 
 
+def test_translate_names_a_drifting_point():
+    """A point _unimodular accepts may drift past the unit-diagonal slack at large D: named."""
+    for scale, shown in ((1 + 0.9e-12, "9e-13"), (1 - 0.9e-12, "-9e-13")):
+        x = scale * complex(math.cos(0.3), math.sin(0.3))
+        with pytest.raises(ValueError, match=rf"translation point \({x.real!r}\+{x.imag!r}j\) "
+                           rf"has \|x\| - 1 = {shown}: at D = 256 the modulus of its powers "
+                           r"drifts 4\.59e-10 from 1, past the phase-matrix slack 1e-12"):
+            translate(canonical(256), x)
+    # a point within rounding of the circle keeps its bytes
+    x = complex(math.cos(0.3), math.sin(0.3))
+    m = state_generated([0.5, 0.5], 64)
+    powers = x ** np.arange(64)
+    want = PhaseMatrix(m.entries * np.outer(powers.conj(), powers)).entries
+    got = translate(m, x).entries
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 # --- u_equivalent -------------------------------------------------------------
 
 
