@@ -17,8 +17,8 @@ from numpy.polynomial.legendre import leggauss
 
 from ._serialize import matrix_from_dict, matrix_to_dict
 from .phase_matrix import (
-    EPS_PSD, _EPS_HERM, PhaseMatrix, _hermitian_rebuild, _lapack_operand, _probability_vector,
-    _toeplitz, _unimodular, psd_certified)
+    EPS_PSD, _EPS_HERM, PhaseMatrix, _gamma, _hermitian_rebuild, _lapack_operand,
+    _probability_vector, _toeplitz, _unimodular, psd_certified)
 from .specfun import displacement_element
 
 __all__ = [
@@ -49,6 +49,13 @@ _ARC_TOTAL_SLACK = 1e-9
 _ARC_WRAP_SLACK = 1e-15
 # slack of a state's unit trace, the rounding of a normalized D x D state
 _EPS_TRACE = 1e-10
+# Least eigenvalue bound of a pure state as DensityMatrix.from_pure stores it.  Each
+# computed entry fl(v_m conj(v_n)) is within sqrt(2) gamma_2 |v_m| |v_n| of v_m conj(v_n)
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Lemma 3.5), and the
+# Hermitian rebuild keeps that bound entrywise, so the stored matrix is v v^* + F with
+# ||F||_2 <= || |F| ||_2 <= sqrt(2) gamma_2 ||v||^2.  The unit-trace check holds ||v||^2
+# below 2, so no eigenvalue lies below -2 sqrt(2) gamma_2, about -6.3e-16.
+_PURE_PSD_BOUND = 2.0 * math.sqrt(2.0) * _gamma(2)
 
 
 @dataclass(frozen=True)
@@ -119,26 +126,37 @@ def fourier_arc(arc: Arc, k: int) -> complex:
     return complex(_fourier_arc_table(arc, np.array([k]))[0])
 
 
+def _state_entries(entries) -> np.ndarray:
+    """The Hermitian rebuild of a finite, Hermitian, unit-trace square matrix, else ValueError."""
+    rho = np.asarray(entries, dtype=np.complex128)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError("state must be a square matrix")
+    if not np.isfinite(rho).all():
+        raise ValueError("state entries must be finite")
+    dev, rho = _hermitian_rebuild(rho)
+    if dev.max() > _EPS_HERM:
+        raise ValueError("state is not Hermitian")
+    if abs(rho.trace().real - 1.0) > _EPS_TRACE:
+        raise ValueError(f"state trace {rho.trace().real} is not 1")
+    rho.flags.writeable = False
+    return rho
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Truncated state: Hermitian, PSD and trace one."""
+    """Truncated state: Hermitian, PSD and trace one.
+
+    Entries given to the constructor (so ``from_dict`` and a ``--state-file``) are certified
+    PSD by :func:`psd_certified`.  :meth:`from_pure` proves it from the rounding bound of
+    its outer product instead (``_PURE_PSD_BOUND``), and keeps the other checks.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        rho = np.asarray(self.entries, dtype=np.complex128)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError("state must be a square matrix")
-        if not np.isfinite(rho).all():
-            raise ValueError("state entries must be finite")
-        dev, rho = _hermitian_rebuild(rho)
-        if dev.max() > _EPS_HERM:
-            raise ValueError("state is not Hermitian")
-        if abs(rho.trace().real - 1.0) > _EPS_TRACE:
-            raise ValueError(f"state trace {rho.trace().real} is not 1")
+        rho = _state_entries(self.entries)
         if not psd_certified(rho, EPS_PSD):
             raise ValueError("state is not positive semidefinite")
-        rho.flags.writeable = False
         object.__setattr__(self, "entries", rho)
 
     @property
@@ -147,9 +165,15 @@ class DensityMatrix:
 
     @staticmethod
     def from_pure(vec) -> "DensityMatrix":
+        """The pure state of ``vec`` normalized, certified PSD by its construction."""
         v = np.asarray(vec, dtype=np.complex128).ravel()
         v = v / np.linalg.norm(v)
-        return DensityMatrix(np.outer(v, v.conj()))
+        rho = _state_entries(np.outer(v, v.conj()))
+        if not (_PURE_PSD_BOUND < EPS_PSD or psd_certified(rho, EPS_PSD)):
+            raise ValueError("state is not positive semidefinite")
+        state = object.__new__(DensityMatrix)
+        object.__setattr__(state, "entries", rho)
+        return state
 
     def to_dict(self) -> dict:
         return {
@@ -190,8 +214,7 @@ class CoherentVector:
     captured weight underflows to 0, raises ``ValueError``.  Amplitudes
     below ``_AMP_FLOOR`` are stored as exact 0 (``fidelity`` is taken
     before): their weight is not a normal float, and their products
-    would drive the Cholesky certificate of the density matrix through
-    subnormal arithmetic.
+    would be subnormal.
     """
 
     z: complex

@@ -8,6 +8,7 @@ verdicts *at truncation D*.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -55,6 +56,12 @@ _EPS_PROB = 1e-12
 _EPS_UNIMODULAR = 1e-12
 # number states at or above this level are refused by state_generated
 LEVEL_CUTOFF = 64
+# gram_factor's pivoted Cholesky stops once the largest remaining diagonal entry of
+# C - L L^* is at or below this fraction of max diag(C)
+_PIVOT_STOP = 1e-13
+# ... and hands over to the full eigh once it would take more than this fraction of D
+# columns, where LAPACK's blocked eigh costs less than the column loop
+_PIVOT_MAX_FRACTION = 0.5
 
 
 class TruncationError(ValueError):
@@ -104,6 +111,12 @@ def _hermitian_rebuild(a: np.ndarray):
     np.fill_diagonal(h, a.diagonal().real)
     h += 0.0
     return dev, h
+
+
+def _gamma(n: int) -> float:
+    """Higham's ``gamma_n = n u / (1 - n u)``, u the unit roundoff of float64."""
+    u = np.finfo(np.float64).eps / 2
+    return n * u / (1.0 - n * u)
 
 
 def _lapack_operand(a: np.ndarray) -> np.ndarray:
@@ -255,7 +268,9 @@ class PhaseMatrix:
 class EtaSystem:
     """Unit vectors whose Gram matrix reproduces a phase matrix.
 
-    ``vectors[n]`` is the n-th unit vector in the rank-dimensional space.
+    ``vectors[n]`` is the n-th unit vector in the rank-dimensional space, in whichever
+    basis :func:`gram_factor` took: only their Gram matrix, and so the range of the
+    (D, rank) array, is fixed.
     """
 
     rank: int
@@ -395,25 +410,94 @@ def example5(dim: int) -> PhaseMatrix:
     return from_eta(np.array(vecs))
 
 
-def gram_factor(matrix: PhaseMatrix) -> EtaSystem:
-    """Factor a phase matrix into unit vectors via eigendecomposition.
+def _pivoted_cholesky(a: np.ndarray) -> Optional[np.ndarray]:
+    """A (D, k) factor L with ``a ~ L L^*``, by diagonally pivoted Cholesky, or None.
 
-    Eigenvalues above ``EPS_RANK`` times the largest are kept; the number
-    kept is the numerical rank at this truncation.  The factor is cached
-    on the (immutable) matrix, so a repeated call returns the same
-    :class:`EtaSystem` without a second ``eigh``; its ``vectors`` are
-    therefore read-only.  A matrix whose entries are all real is factored
-    by the real ``eigh`` (:func:`_lapack_operand`), at the same cutoff.
+    Each step takes the column of ``a - L L^*`` at its largest remaining diagonal entry
+    (Higham, "Analysis of the Cholesky decomposition of a semi-definite matrix", 1990;
+    Harbrecht, Peters & Schneider, Appl. Numer. Math. 62 (2012) 428), until that entry is
+    at most ``_PIVOT_STOP`` times max diag(a).  None when that needs more than
+    ``_PIVOT_MAX_FRACTION`` times D columns.
+    """
+    d = a.shape[0]
+    diag = a.diagonal().real.copy()
+    stop = _PIVOT_STOP * diag.max()
+    most = int(_PIVOT_MAX_FRACTION * d)
+    rows = np.empty((most, d), dtype=a.dtype)  # rows[j] is column j of L
+    for k in range(most + 1):
+        p = int(diag.argmax())
+        if diag[p] <= stop:
+            return rows[:k].T
+        if k == most:
+            return None
+        # column p of a - L L^*, read from row p of the Hermitian a
+        col = a[p].conj() - rows[:k].T @ rows[:k, p].conj()
+        col /= math.sqrt(diag[p])
+        rows[k] = col
+        diag -= (col * col.conj()).real
+
+
+def _weyl_spectrum(a: np.ndarray, lf: np.ndarray):
+    """``(w, v, e)``: ``L^* L = V diag(w) V^*`` and ``e >= ||a - L L^*||_2``.
+
+    ``L L^*`` has the nonzero eigenvalues w, with eigenvectors ``L V diag(w)^(-1/2)``, and
+    the other D - k eigenvalues 0.  By Weyl's inequality each eigenvalue of the Hermitian
+    ``a`` lies within e of the same-ranked one of ``L L^*``.  e is the Frobenius norm of the
+    residual, formed explicitly, times ``1 + gamma_{D^2}`` for the rounding of the
+    subtraction and the norm, plus ``gamma_{D + 2k} ||L||_F^2``: ``gamma_k ||L||_F^2`` bounds
+    the rounding of ``L L^*`` in the residual, ``gamma_D ||L||_F^2`` that of ``L^* L``, and
+    ``gamma_k ||L^* L||_2`` stands for the backward error of its ``eigh``.
+    """
+    d, k = lf.shape
+    gram = lf.T.conj() @ lf
+    w, v = np.linalg.eigh(gram)
+    resid = lf @ lf.T.conj()
+    resid -= a
+    e = np.linalg.norm(resid) * (1.0 + _gamma(d * d)) + _gamma(d + 2 * k) * np.trace(gram).real
+    return w, v, e
+
+
+def _rank_certified(w: np.ndarray, e: float) -> bool:
+    """True iff every eigenvalue within e of w, and of the D - len(w) zeros, stays on its
+    side of the cutoff ``EPS_RANK`` times the largest, which lies within e of ``w[-1]``."""
+    top = w[-1]
+    keep = w > EPS_RANK * top
+    return bool(e < EPS_RANK * (top - e)
+                and (w[keep] - e > EPS_RANK * (top + e)).all()
+                and (w[~keep] + e < EPS_RANK * (top - e)).all())
+
+
+def gram_factor(matrix: PhaseMatrix) -> EtaSystem:
+    """Factor a phase matrix into unit vectors with the numerical rank as dimension.
+
+    The rank counts the eigenvalues of C above ``EPS_RANK`` times the largest.  A low-rank
+    C is factored by a pivoted Cholesky ``C ~ L L^*`` (:func:`_pivoted_cholesky`): with
+    ``L^* L = V W V^*``, the rows of ``conj(L V)`` over the eigenvalues kept are the eta
+    vectors, when Weyl's inequality certifies the rank (:func:`_weyl_spectrum`,
+    :func:`_rank_certified`).  Otherwise C's full ``eigh`` gives them, as
+    ``conj(Q) sqrt(W)`` over the eigenvalues above the cutoff.  The two routes give different
+    bases of the same range, up to rounding, and the rows are renormalized to unit length.
+    The factor is cached on the (immutable) matrix, so a repeated call returns the same
+    :class:`EtaSystem` without a second factorization; its ``vectors`` are therefore
+    read-only.  A matrix whose entries are all real is factored in real arithmetic
+    (:func:`_lapack_operand`), at the same cutoff.
     """
     if matrix._gram is not None:
         return matrix._gram
-    w, q = np.linalg.eigh(_lapack_operand(matrix.entries))
-    keep = w > EPS_RANK * w[-1]
-    wk = w[keep]
-    vectors = q[:, keep].conj() * np.sqrt(wk)
-    # eigenvector roundoff can leave norms a hair off 1; renormalize rows
+    a = _lapack_operand(matrix.entries)
+    vectors = None
+    lf = _pivoted_cholesky(a)
+    if lf is not None:
+        w, v, e = _weyl_spectrum(a, lf)
+        if _rank_certified(w, e):
+            vectors = (lf @ v[:, w > EPS_RANK * w[-1]]).conj()
+    if vectors is None:
+        w, q = np.linalg.eigh(a)
+        keep = w > EPS_RANK * w[-1]
+        vectors = q[:, keep].conj() * np.sqrt(w[keep])
+    # the factor's roundoff can leave norms a hair off 1; renormalize rows
     vectors /= np.linalg.norm(vectors, axis=1)[:, None]
-    eta = EtaSystem(rank=int(keep.sum()), vectors=vectors)
+    eta = EtaSystem(rank=vectors.shape[1], vectors=vectors)
     eta.vectors.flags.writeable = False
     object.__setattr__(matrix, "_gram", eta)
     return eta

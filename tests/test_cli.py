@@ -345,6 +345,20 @@ def test_smear_subcommand(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr() == ("", message), bad
 
 
+def test_smear_refuses_a_dip_between_grid_points(tmp_path, capsys, monkeypatch):
+    """1 + 1.04 cos(128 theta - 7 pi / 8) reads 0.039 on every grid point, yet dips to -0.04."""
+    _, gen_out = run_cli(capsys, "gen", "canonical", "--dim", "5")
+    h = 0.52 * complex(math.cos(7 * math.pi / 8), -math.sin(7 * math.pi / 8))
+    coeffs = [[1.0, 0.0]] + [[0.0, 0.0]] * 127 + [[h.real, h.imag]]
+    nu_path = tmp_path / "nu.json"
+    nu_path.write_text(json.dumps({"atoms": [], "density_coeffs": coeffs}))
+    monkeypatch.setattr("sys.stdin", io.StringIO(gen_out))
+    assert main(["smear", "--nu", str(nu_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {nu_path}: density dips to -0.0396")
+    assert err.endswith(" between the grid points\n")
+
+
 def test_smear_refuses_coefficient_above_h0(tmp_path, capsys, monkeypatch):
     """A huge density coefficient is refused by name, with no overflow RuntimeWarning."""
     _, gen_out = run_cli(capsys, "gen", "canonical", "--dim", "5")

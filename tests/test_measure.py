@@ -8,6 +8,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import eval_genlaguerre
 
 from phaseopt.measure import (
+    _PURE_PSD_BOUND,
     TWO_PI,
     Arc,
     CoherentVector,
@@ -25,7 +26,8 @@ from phaseopt.measure import (
     prob,
 )
 from phaseopt.phase_matrix import (
-    _lapack_operand, _toeplitz, canonical, chessboard, example4, example5, state_generated)
+    EPS_PSD, _lapack_operand, _toeplitz, canonical, chessboard, example4, example5,
+    state_generated)
 from phaseopt.specfun import c_state, displacement_element
 
 
@@ -348,6 +350,47 @@ def test_amplitude_floor_leaves_density_bitwise(dim, z):
         for grid in (16, 512, 720):
             got, want = density(m, floored, grid)[1], density(m, reference, grid)[1]
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (grid, m)
+
+
+def counting_cholesky(monkeypatch) -> list:
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [64, 256, 512])
+@pytest.mark.parametrize("z", [0.7 - 0.2j, 2.0 + 1.5j, -3.0j, 4.5 * unit(2.0)])
+def test_pure_state_certified_by_construction_keeps_its_entries(monkeypatch, dim, z):
+    """from_pure proves PSD from the rounding bound, not by a Cholesky factorization; its
+    entries are those the constructor, which factors, stores from the same outer product."""
+    assert _PURE_PSD_BOUND < EPS_PSD
+    calls = counting_cholesky(monkeypatch)
+    cv = CoherentVector(z, dim)
+    rho = cv.density_matrix()
+    assert calls == []
+    v = cv.amplitudes / np.linalg.norm(cv.amplitudes)
+    old = DensityMatrix(np.outer(v, v.conj()))
+    assert calls == [(dim, dim)]
+    assert np.array_equal(rho.entries.view(np.uint64), old.entries.view(np.uint64))
+    assert not rho.entries.flags.writeable
+    # the bound holds for the stored matrix; eigvalsh adds its own backward error, D u ||rho||
+    assert np.linalg.eigvalsh(rho.entries)[0] >= -_PURE_PSD_BOUND - dim * np.finfo(float).eps
+
+
+def test_pure_state_keeps_its_other_checks():
+    for vec in (np.zeros(4), [1.0, np.inf]):  # normalized to NaN entries
+        with pytest.raises(ValueError, match="state entries must be finite"):
+            with np.errstate(invalid="ignore"):
+                DensityMatrix.from_pure(vec)
+    # a state from user entries is still factored
+    with pytest.raises(ValueError, match="state is not positive semidefinite"):
+        DensityMatrix(np.array([[0.5, 0.9], [0.9, 0.5]]))
 
 
 # --- density and prob ------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circle_measures import convolve
+from phaseopt import optimal
 from phaseopt.measure import Arc, DensityMatrix, density, effect_norm
 from phaseopt.optimal import (
     MAX_DENSITY_COEFFS,
@@ -115,6 +116,33 @@ def test_circle_measure_rejects_negative_density():
         ):
             with pytest.raises(ValueError, match=f"density coefficient {shown} is not finite"):
                 CircleMeasure(density_coeffs=coeffs)
+
+
+# 1 + 1.04 cos(128 theta - 7 pi / 8): its minimum, -0.04, falls midway between two of the
+# 1024 grid points, where the density reads 0.039
+BETWEEN_GRID_DIP = (1.0,) + (0.0,) * 127 + (0.52 * unit(-7 * math.pi / 8),)
+
+
+def test_circle_measure_certifies_positivity_between_grid_points():
+    with pytest.raises(ValueError, match=r"density dips to -0\.0396\d* at theta = [\d.]+ "
+                                         "between the grid points"):
+        CircleMeasure(density_coeffs=BETWEEN_GRID_DIP)
+    # with 0.5 for 0.52 it touches 0 between the points, and is accepted
+    CircleMeasure(density_coeffs=BETWEEN_GRID_DIP[:-1] + (0.5 * unit(-7 * math.pi / 8),))
+    for phi in (0.001, 1.0, 2.5):
+        # 1 + cos(theta + phi) touches 0 off the grid; scaled by 1 + 1e-8 it dips to -1e-8
+        CircleMeasure(density_coeffs=(1.0, 0.5 * unit(phi)))
+        with pytest.raises(ValueError, match="between the grid points"):
+            CircleMeasure(density_coeffs=(1.0, 0.5 * (1.0 + 1e-8) * unit(phi)))
+    for k in (4, 16, 64, 256):
+        # the Fejer kernel touches 0 at k points; at 256 the first split reads shifted grids
+        CircleMeasure(density_coeffs=tuple(1.0 - j / (k + 1) for j in range(k + 1)))
+
+
+def test_circle_measure_refuses_what_it_cannot_certify(monkeypatch):
+    monkeypatch.setattr(optimal, "_DENSITY_WORK", 1000)
+    with pytest.raises(ValueError, match="cannot certify that the density is nonnegative"):
+        CircleMeasure(density_coeffs=tuple(1.0 - j / 65 for j in range(65)))
 
 
 def test_circle_measure_refuses_coefficient_above_h0():
