@@ -346,7 +346,7 @@ def test_smear_subcommand(tmp_path, capsys, monkeypatch):
 
 
 def test_smear_refuses_a_dip_between_grid_points(tmp_path, capsys, monkeypatch):
-    """1 + 1.04 cos(128 theta - 7 pi / 8) reads 0.039 on every grid point, yet dips to -0.04."""
+    """1 + 1.04 cos(128 theta - 7 pi / 8) reads at least 0.039 on the grid, yet dips to -0.04."""
     _, gen_out = run_cli(capsys, "gen", "canonical", "--dim", "5")
     h = 0.52 * complex(math.cos(7 * math.pi / 8), -math.sin(7 * math.pi / 8))
     coeffs = [[1.0, 0.0]] + [[0.0, 0.0]] * 127 + [[h.real, h.imag]]
