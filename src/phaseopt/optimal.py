@@ -77,12 +77,13 @@ _RECOVERY_ENTRY_EPS = 1e-13
 # Most density_coeffs a CircleMeasure takes: its positivity test evaluates the density on
 # 8 points per coefficient, 8 MB of complex values at this bound.
 MAX_DENSITY_COEFFS = 1 << 16
+# Taylor order of the positivity test's model of the density on a grid cell: Bernstein's
+# remainder (K w)^17 ||p|| / 17! is below 4e-22 ||p|| at the grid's K w <= pi / 8
+_DENSITY_ORDER = 16
 # each refinement level of the positivity test splits an open cell into this many cells
 _DENSITY_SPLIT = 16
-# most (point, mode) terms the refinement may sum before it gives up undecided
-_DENSITY_WORK = 1 << 26
-# most (point, mode) terms summed in one array, 16 MB of complex values
-_DENSITY_CHUNK = 1 << 20
+# most refinement levels, 16^-12 of a grid cell, before the test gives up undecided
+_DENSITY_LEVELS = 12
 
 
 @dataclass(frozen=True)
@@ -175,96 +176,73 @@ class CircleMeasure:
         return CircleMeasure(atoms=atoms, density_coeffs=coeffs)
 
 
-def _density_jet(coeffs: np.ndarray, modes: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Rows p, p', p'', p''' at ``thetas`` of ``p = h_0 + 2 Re sum_k h_k e^(ik theta)``,
-    summed directly over the nonzero ``modes``."""
-    table = (1j * modes) ** np.arange(4)[:, None] * coeffs[modes]
-    jet = np.empty((4, thetas.size))
-    step = max(1, _DENSITY_CHUNK // modes.size)
-    for lo in range(0, thetas.size, step):
-        waves = np.exp(1j * np.multiply.outer(modes, thetas[lo:lo + step]))
-        jet[:, lo:lo + step] = 2.0 * (table @ waves).real
-    jet[0] += coeffs[0].real
-    return jet
-
-
-def _density_jet_on_grid(coeffs: np.ndarray, points: int, shift: float) -> np.ndarray:
-    """:func:`_density_jet` at ``shift + 2 pi g / points``, g = 0..points - 1, by
-    :func:`_trig_on_grid`: the shift turns h_k into h_k e^(ik shift)."""
-    ks = np.arange(len(coeffs))
-    rotated = coeffs * np.exp(1j * ks * shift)
-    jet = np.stack([2.0 * _trig_on_grid(ks, (1j * ks) ** n * rotated, points).real
-                    for n in range(4)])
-    jet[0] -= coeffs[0].real  # the k = 0 term was doubled with the others
-    return jet
-
-
 def _certify_density(coeffs: np.ndarray) -> None:
     """ValueError unless ``p(theta) = h_0 + 2 Re sum_{k >= 1} h_k e^(ik theta)`` is at least
     ``-_EPS_DENSITY`` on the whole circle, up to the rounding of its evaluation.
 
-    p is sampled on ``max(1024, 8 len(coeffs))`` points, and a sample below the slack is
-    refused.  Sampling alone misses dips between the points, so each point is the centre c
-    of a cell of half-width w, and a cell is cleared when it cannot hold the minimum.  The
-    minimum is a critical point theta*; if it lies in the cell, then
-    ``p(c) <= p(theta*) + kappa w^2 / 2`` and ``|p'(c)| <= kappa w``, where ``kappa`` bounds
-    |p''| on the cell.  Taylor's theorem gives ``kappa = |p''(c)| + |p'''(c)| w + B w^2 / 2``
-    with ``B = K^4 ||p||`` at degree K (Bernstein's inequality), and
-    ``||p|| <= max |p(grid)| / (1 - (K w)^2 / 2)`` on the first grid, as the maximum of |p| is
-    a critical point too.  A cell that fails either test is split ``_DENSITY_SPLIT`` ways
-    and its new centres are sampled, until no cell is left or a sample dips below the
-    slack.  The centres lie on shifted copies of the first grid; they are read from one
-    :func:`_trig_on_grid` per shift when that costs less than summing them directly over
-    the nonzero modes.  A density that leaves cells open after ``_DENSITY_WORK`` terms is
-    refused as undecided.  The evaluation rounding, far below ``_EPS_DENSITY`` for any
-    admitted coefficients, is left to that slack.
+    p is sampled on ``points = max(1024, 8 len(coeffs))`` points, and a sample below the
+    slack is refused.  Sampling alone misses dips between the points, so each point c is
+    the centre of a cell of half-width ``w = pi / points``, on which p is its Taylor
+    polynomial ``T(s) = sum_{n <= _DENSITY_ORDER} q_n s^n`` in ``s = (theta - c) / w``, with
+    ``q_n = p^(n)(c) w^n / n!``, up to a remainder R: Bernstein's inequality
+    ``|p^(n)| <= K^n ||p||`` at degree K bounds it by ``(K w)^(n + 1) ||p|| / (n + 1)!`` at
+    ``n = _DENSITY_ORDER``, with ``||p|| <= h_0 + 2 sum |h_k|``.  Each row q_n over the grid
+    is one :func:`_trig_on_grid` of the coefficients ``h_k (ikw)^n / n!``.  A cell is
+    cleared when ``q_0 - sum_{n >= 1} |q_n| - R``, a lower bound of p on it, is at least the
+    slack.  An open cell is split ``_DENSITY_SPLIT`` ways, each part's polynomial re-expanded
+    about its own centre by one fixed matrix, until no cell is open, or a centre reads
+    below the slack by more than R, a dip, or ``_DENSITY_LEVELS`` splits leave cells open,
+    undecided.  Near a double zero of p the bound is about ``-p'' w^2 / 2``, so each split
+    clears all but a few of the cells near each zero.  The evaluation rounding, far below
+    ``_EPS_DENSITY`` for any admitted coefficients, is left to that slack.
     """
-    modes = np.flatnonzero(coeffs[1:]) + 1
-    if not modes.size:
-        return
     points = max(1024, 8 * (len(coeffs) - 1))
-    jet = _density_jet_on_grid(coeffs, points, 0.0)
-    if not jet[0].min() >= -_EPS_DENSITY:
-        raise ValueError(f"density dips to {jet[0].min()} on the grid")
     half = math.pi / points
-    degree = int(modes[-1])
-    norm = np.abs(jet[0]).max() / (1.0 - 0.5 * (degree * half) ** 2)
-    quartic = float(degree) ** 4 * norm
-    # the centre of a cell is shift + spacing * base
-    spacing = 2.0 * half
-    base, shift = np.arange(points), np.zeros(points)
-    offsets = (2.0 * np.arange(_DENSITY_SPLIT) - (_DENSITY_SPLIT - 1)) / _DENSITY_SPLIT
-    work = 0
-    while True:
-        kappa = np.abs(jet[2]) + np.abs(jet[3]) * half + 0.5 * quartic * half * half
-        cells = np.flatnonzero((jet[0] - 0.5 * kappa * half * half < -_EPS_DENSITY)
-                               & (np.abs(jet[1]) <= kappa * half))
+    ks = np.arange(len(coeffs))
+
+    def taylor_row(n):
+        row = 2.0 * _trig_on_grid(ks, coeffs * (1j * ks * half) ** n, points).real
+        return row / math.factorial(n) - (coeffs[0].real if n == 0 else 0.0)
+
+    values = taylor_row(0)
+    if not values.min() >= -_EPS_DENSITY:
+        raise ValueError(f"density dips to {values.min()} on the grid")
+    degree = int(np.flatnonzero(coeffs)[-1]) if coeffs.any() else 0
+    if degree == 0:
+        return
+    norm = coeffs[0].real + 2.0 * np.abs(coeffs[1:]).sum()
+    order = _DENSITY_ORDER
+    remainder = (degree * half) ** (order + 1) / math.factorial(order + 1) * norm
+    # the lower bound is summed one row at a time, and the rows are kept for open cells only
+    low = values - sum(np.abs(taylor_row(n)) for n in range(1, order + 1))
+    cells = np.flatnonzero(low - remainder < -_EPS_DENSITY)
+    q = np.stack([taylor_row(n)[cells] for n in range(order + 1)], axis=1)
+    theta = 2.0 * half * cells
+    # part j of a cell has centre s_j and half-width 1 / split in s; its coefficients are
+    # q @ shift[:, j], T(s_j + s' / split) = sum_m (sum_n C(n, m) q_n s_j^(n - m)) s'^m / split^m
+    split = _DENSITY_SPLIT
+    centres = (2.0 * np.arange(split) - (split - 1)) / split
+    n, m = np.arange(order + 1)[:, None], np.arange(order + 1)
+    binom = np.array([[math.comb(a, b) for b in range(order + 1)] for a in range(order + 1)])
+    powers = np.power.outer(centres, np.maximum(n - m, 0)).transpose(1, 0, 2)
+    shift = (binom[:, None, :] * powers / float(split) ** m).reshape(order + 1, -1)
+    for _ in range(_DENSITY_LEVELS):
         if not cells.size:
             return
-        base = np.repeat(base[cells], _DENSITY_SPLIT)
-        shift = np.add.outer(shift[cells], half * offsets).ravel()
-        half /= _DENSITY_SPLIT
-        shifts, which = np.unique(shift, return_inverse=True)
-        # a shifted grid costs about 4 points terms, a direct sum one per centre and mode
-        by_grid = shifts.size * 4 * points < shift.size * modes.size
-        work += min(shifts.size * 4 * points, shift.size * modes.size)
-        if work > _DENSITY_WORK:
-            raise ValueError(
-                f"cannot certify that the density is nonnegative: {cells.size} cells of "
-                f"width {2.0 * _DENSITY_SPLIT * half:.3g} are still open after "
-                f"{_DENSITY_WORK} terms")
-        if by_grid:
-            jet = np.empty((4, shift.size))
-            for j, s in enumerate(shifts):
-                at = np.flatnonzero(which == j)
-                jet[:, at] = _density_jet_on_grid(coeffs, points, s)[:, base[at]]
-        else:
-            jet = _density_jet(coeffs, modes, shift + spacing * base)
-        if not jet[0].min() >= -_EPS_DENSITY:
-            low = int(jet[0].argmin())
-            theta = (shift[low] + spacing * base[low]) % TWO_PI
-            raise ValueError(f"density dips to {jet[0][low]} at theta = {theta} "
+        q = (q @ shift).reshape(-1, order + 1)
+        theta = np.add.outer(theta, half * centres).ravel()
+        half /= split
+        if not q[:, 0].min() >= -_EPS_DENSITY - remainder:
+            at = int(q[:, 0].argmin())
+            raise ValueError(f"density dips to {q[at, 0]} at theta = {theta[at] % TWO_PI} "
                              "between the grid points")
+        cells = np.flatnonzero(q[:, 0] - np.abs(q[:, 1:]).sum(axis=1) - remainder
+                               < -_EPS_DENSITY)
+        q, theta = q[cells], theta[cells]
+    if cells.size:
+        raise ValueError(f"cannot certify that the density is nonnegative: {cells.size} cells "
+                         f"of width {2.0 * half:.3g} are still open after {_DENSITY_LEVELS} "
+                         "refinement levels")
 
 
 def smear(matrix: PhaseMatrix, nu: CircleMeasure) -> PhaseMatrix:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from circle_measures import convolve
 from phaseopt import optimal
-from phaseopt.measure import Arc, DensityMatrix, density, effect_norm
+from phaseopt.measure import TWO_PI, Arc, DensityMatrix, density, effect_norm
 from phaseopt.optimal import (
     MAX_DENSITY_COEFFS,
     CircleMeasure,
@@ -134,13 +134,35 @@ def test_circle_measure_certifies_positivity_between_grid_points():
         CircleMeasure(density_coeffs=(1.0, 0.5 * unit(phi)))
         with pytest.raises(ValueError, match="between the grid points"):
             CircleMeasure(density_coeffs=(1.0, 0.5 * (1.0 + 1e-8) * unit(phi)))
-    for k in (4, 16, 64, 256):
-        # the Fejer kernel touches 0 at k points; at 256 the first split reads shifted grids
+    for k in (4, 16, 64, 256, 1024, 4096):
+        # the Fejer kernel touches 0 at k points, each a double zero
         CircleMeasure(density_coeffs=tuple(1.0 - j / (k + 1) for j in range(k + 1)))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_circle_measure_certificate_matches_a_dense_grid(seed):
+    """|f|^2 with some roots of f on the circle touches 0 there and is accepted; lowered
+    by a millionth of its maximum, it dips and is refused."""
+    rng = np.random.default_rng(seed)
+    degree, touching = 300, 4
+    roots = np.concatenate([np.exp(1j * rng.uniform(0.0, TWO_PI, touching)),
+                            (0.3 + 2.0 * rng.random(degree - touching))
+                            * np.exp(1j * rng.uniform(0.0, TWO_PI, degree - touching))])
+    f = np.poly(roots)[::-1]
+    h = np.array([np.vdot(f[:degree + 1 - k], f[k:]) for k in range(degree + 1)])
+    h /= h[0].real
+    CircleMeasure(density_coeffs=tuple(h))
+    points = 1 << 18
+    dense = 2.0 * (points * np.fft.ifft(h, points)).real - 1.0
+    assert -1e-12 < dense.min() < 1e-6
+    lowered = h.copy()
+    lowered[0] -= 1e-6 * dense.max()
+    with pytest.raises(ValueError, match="density dips to -"):
+        CircleMeasure(density_coeffs=tuple(lowered / lowered[0].real))
+
+
 def test_circle_measure_refuses_what_it_cannot_certify(monkeypatch):
-    monkeypatch.setattr(optimal, "_DENSITY_WORK", 1000)
+    monkeypatch.setattr(optimal, "_DENSITY_LEVELS", 1)
     with pytest.raises(ValueError, match="cannot certify that the density is nonnegative"):
         CircleMeasure(density_coeffs=tuple(1.0 - j / 65 for j in range(65)))
 
