@@ -54,7 +54,8 @@ _EPS_TRACE = 1e-10
 # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Lemma 3.5), and the
 # Hermitian rebuild keeps that bound entrywise, so the stored matrix is v v^* + F with
 # ||F||_2 <= || |F| ||_2 <= sqrt(2) gamma_2 ||v||^2.  The unit-trace check holds ||v||^2
-# below 2, so no eigenvalue lies below -2 sqrt(2) gamma_2, about -6.3e-16.
+# below 2, so no eigenvalue lies below -2 sqrt(2) gamma_2, about -6.3e-16: inside
+# -EPS_PSD, which the tests of from_pure assert, so from_pure runs no PSD check of its own.
 _PURE_PSD_BOUND = 2.0 * math.sqrt(2.0) * _gamma(2)
 
 
@@ -169,8 +170,6 @@ class DensityMatrix:
         v = np.asarray(vec, dtype=np.complex128).ravel()
         v = v / np.linalg.norm(v)
         rho = _state_entries(np.outer(v, v.conj()))
-        if not (_PURE_PSD_BOUND < EPS_PSD or psd_certified(rho, EPS_PSD)):
-            raise ValueError("state is not positive semidefinite")
         state = object.__new__(DensityMatrix)
         object.__setattr__(state, "entries", rho)
         return state
@@ -194,7 +193,7 @@ class DiagonalState:
 
     def __post_init__(self):
         lam = np.clip(_probability_vector(self.weights), 0.0, None)
-        last = int(np.nonzero(lam)[0][-1]) if lam.any() else 0
+        last = int(np.nonzero(lam)[0][-1])
         lam = lam[: last + 1].copy()
         lam.flags.writeable = False
         object.__setattr__(self, "weights", lam)

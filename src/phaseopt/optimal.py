@@ -650,8 +650,12 @@ def preclean_check(matrix: PhaseMatrix, tol: float = DEFAULT_TAIL_TOL) -> Option
     by construction, so ``|c|`` is exactly symmetric and the minimum over
     the block from n0 on is the minimum of the upper-triangle row minima
     of rows n0..D-1: one suffix minimum decides every candidate.  A tail
-    whose entries are all real takes the real ``eigvalsh``.
+    whose entries are all real takes the real ``eigvalsh``.  A ``tol`` of 1 or more (or
+    NaN) raises ``ValueError``: every modulus then passes, and the second-eigenvalue test
+    too, so the answer would not read the matrix.
     """
+    if not tol < 1.0:
+        raise ValueError(f"preclean tol must be below 1, got {tol}")
     d = matrix.dim
     upper = np.where(np.tri(d, k=-1, dtype=bool), np.inf, np.abs(matrix.entries))
     block_min = np.minimum.accumulate(upper.min(axis=1)[::-1])[::-1]
@@ -662,6 +666,6 @@ def preclean_check(matrix: PhaseMatrix, tol: float = DEFAULT_TAIL_TOL) -> Option
     tail = matrix.entries[n0:, n0:]
     w = np.linalg.eigvalsh(_lapack_operand(tail))
     k = d - n0
-    if k > 1 and w[-2] > 4.0 * k * tol + _EPS_TAIL_EIGEN:
+    if w[-2] > 4.0 * k * tol + _EPS_TAIL_EIGEN:
         return None
     return n0

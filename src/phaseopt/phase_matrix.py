@@ -59,10 +59,6 @@ LEVEL_CUTOFF = 64
 # gram_factor's pivoted Cholesky stops once the largest remaining diagonal entry of
 # C - L L^* is at or below this fraction of max diag(C)
 _PIVOT_STOP = 1e-13
-# ... and hands over to the full eigh once it would take more than this fraction of D
-# columns.  A round choice, not a measured crossover: an input that reaches it pays the
-# loop and then the eigh, and at D <= 64 the loop to D/2 costs about as much as the eigh
-_PIVOT_MAX_FRACTION = 0.5
 
 
 class TruncationError(ValueError):
@@ -411,31 +407,28 @@ def example5(dim: int) -> PhaseMatrix:
     return from_eta(np.array(vecs))
 
 
-def _pivoted_cholesky(a: np.ndarray) -> Optional[np.ndarray]:
-    """A (D, k) factor L with ``a ~ L L^*``, by diagonally pivoted Cholesky, or None.
+def _pivoted_cholesky(a: np.ndarray) -> np.ndarray:
+    """A (D, k) factor L with ``a ~ L L^*`` and k <= D, by diagonally pivoted Cholesky.
 
     Each step takes the column of ``a - L L^*`` at its largest remaining diagonal entry
     (Higham, "Analysis of the Cholesky decomposition of a semi-definite matrix", 1990;
     Harbrecht, Peters & Schneider, Appl. Numer. Math. 62 (2012) 428), until that entry is
-    at most ``_PIVOT_STOP`` times max diag(a).  None when that needs more than
-    ``_PIVOT_MAX_FRACTION`` times D columns.
+    at most ``_PIVOT_STOP`` times max diag(a), or all D columns are taken.
     """
     d = a.shape[0]
     diag = a.diagonal().real.copy()
     stop = _PIVOT_STOP * diag.max()
-    most = int(_PIVOT_MAX_FRACTION * d)
-    rows = np.empty((most, d), dtype=a.dtype)  # rows[j] is column j of L
-    for k in range(most + 1):
+    rows = np.empty((d, d), dtype=a.dtype)  # rows[j] is column j of L
+    for k in range(d):
         p = int(diag.argmax())
         if diag[p] <= stop:
             return rows[:k].T
-        if k == most:
-            return None
         # column p of a - L L^*, read from row p of the Hermitian a
         col = a[p].conj() - rows[:k].T @ rows[:k, p].conj()
         col /= math.sqrt(diag[p])
         rows[k] = col
         diag -= (col * col.conj()).real
+    return rows.T
 
 
 def _weyl_spectrum(a: np.ndarray, lf: np.ndarray):
@@ -473,13 +466,14 @@ def _rank_certified(w: np.ndarray, e: float) -> bool:
 def gram_factor(matrix: PhaseMatrix) -> EtaSystem:
     """Factor a phase matrix into unit vectors with the numerical rank as dimension.
 
-    The rank counts the eigenvalues of C above ``EPS_RANK`` times the largest.  A low-rank
-    C is factored by a pivoted Cholesky ``C ~ L L^*`` (:func:`_pivoted_cholesky`): with
-    ``L^* L = V W V^*``, the rows of ``conj(L V)`` over the eigenvalues kept are the eta
-    vectors, when Weyl's inequality certifies the rank (:func:`_weyl_spectrum`,
-    :func:`_rank_certified`).  Otherwise C's full ``eigh`` gives them, as
-    ``conj(Q) sqrt(W)`` over the eigenvalues above the cutoff.  The two routes give different
-    bases of the same range, up to rounding, and the rows are renormalized to unit length.
+    The rank counts the eigenvalues of C above ``EPS_RANK`` times the largest.  C is
+    factored by a pivoted Cholesky ``C ~ L L^*`` of k <= D columns, k near the rank
+    (:func:`_pivoted_cholesky`): with ``L^* L = V W V^*``, the rows of ``conj(L V)`` over
+    the eigenvalues kept are the eta vectors, when Weyl's inequality certifies the rank
+    (:func:`_weyl_spectrum`, :func:`_rank_certified`).  Only when it does not, C's full
+    ``eigh`` gives them, as ``conj(Q) sqrt(W)`` over the eigenvalues above the cutoff.  The
+    two routes give different bases of the same range, up to rounding, and the rows are
+    renormalized to unit length.
     The factor is cached on the (immutable) matrix, so a repeated call returns the same
     :class:`EtaSystem` without a second factorization; its ``vectors`` are therefore
     read-only.  A matrix whose entries are all real is factored in real arithmetic
@@ -488,13 +482,11 @@ def gram_factor(matrix: PhaseMatrix) -> EtaSystem:
     if matrix._gram is not None:
         return matrix._gram
     a = _lapack_operand(matrix.entries)
-    vectors = None
     lf = _pivoted_cholesky(a)
-    if lf is not None:
-        w, v, e = _weyl_spectrum(a, lf)
-        if _rank_certified(w, e):
-            vectors = (lf @ v[:, w > EPS_RANK * w[-1]]).conj()
-    if vectors is None:
+    w, v, e = _weyl_spectrum(a, lf)
+    if _rank_certified(w, e):
+        vectors = (lf @ v[:, w > EPS_RANK * w[-1]]).conj()
+    else:
         w, q = np.linalg.eigh(a)
         keep = w > EPS_RANK * w[-1]
         vectors = q[:, keep].conj() * np.sqrt(w[keep])

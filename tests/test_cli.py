@@ -120,7 +120,8 @@ def test_check_extremal_pipe(capsys, monkeypatch):
 
 
 def test_check_extremal_factors_once(capsys, monkeypatch, tmp_path):
-    """gram_factor and real_nonextremal_shortcut share one eigendecomposition."""
+    """gram_factor and real_nonextremal_shortcut share one factorization: the one eigh is of
+    the pivoted factor's k x k L^*L."""
     path = tmp_path / "state.json"
     assert main(["gen", "state", "--levels", "0.5@0,0.5@1", "--dim", "32", "--out", str(path)]) == 0
     calls = []
@@ -135,7 +136,7 @@ def test_check_extremal_factors_once(capsys, monkeypatch, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["verdict"] == "not-extremal" and report["real_certificate"] is not None
-    assert calls == [(32, 32)]
+    assert len(calls) == 1 and calls[0][0] == calls[0][1] < 32, calls
 
 
 def test_check_sharp_and_preclean(capsys, monkeypatch):
@@ -151,6 +152,15 @@ def test_check_sharp_and_preclean(capsys, monkeypatch):
     _, gen_out = run_cli(capsys, "gen", "example4", "--n0", "3", "--dim", "64")
     code, out = run_cli_stdin(capsys, monkeypatch, gen_out, "check", "preclean")
     assert json.loads(out)["n0"] == 3
+
+
+def test_check_preclean_refuses_a_tol_of_one_or_more(capsys, monkeypatch):
+    # at tol >= 1 every modulus passes, so the vacuum would read positive with n0 = 0
+    _, gen_out = run_cli(capsys, "gen", "state", "--levels", "1@0", "--dim", "64")
+    for tol in ("1", "2.5"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(gen_out))
+        assert main(["check", "preclean", "--tol", tol]) == 1
+        assert capsys.readouterr() == ("", f"error: preclean tol must be below 1, got {float(tol)}\n")
 
 
 def test_check_rank(capsys, monkeypatch):

@@ -10,6 +10,7 @@ from phaseopt.optimal import extremal_check
 from phaseopt.phase_matrix import (
     EPS_RANK,
     EtaSystem,
+    PhaseMatrix,
     _lapack_operand,
     _pivoted_cholesky,
     _rank_certified,
@@ -18,6 +19,7 @@ from phaseopt.phase_matrix import (
     chessboard,
     example4,
     example5,
+    from_eta,
     gram_factor,
     state_generated,
     translate,
@@ -59,7 +61,7 @@ def counting_eigh(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("dim", [32, 64, 128, 256])
+@pytest.mark.parametrize("dim", [16, 32, 64, 128, 256])
 def test_rank_and_extremality_match_the_eigh_route(dim):
     for name, m in families(dim).items():
         eta, reference = gram_factor(m), eigh_reference(m)
@@ -101,13 +103,41 @@ def test_eigenvalue_on_the_cutoff_drives_the_fallback(monkeypatch, dim):
     assert np.array_equal(eta.vectors, reference.vectors)
 
 
-def test_factor_past_the_column_limit_falls_back_before_any_eigh(monkeypatch):
-    # the identity has full rank: the pivoted route gives up at D/2 columns
+def full_rank_eta(dim: int) -> PhaseMatrix:
+    """The Gram matrix of dim random complex unit vectors in dim dimensions: full rank."""
+    rng = np.random.default_rng(dim)
+    v = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return from_eta(v / np.linalg.norm(v, axis=1)[:, None])
+
+
+def test_full_rank_identity_is_certified_by_a_complete_factor(monkeypatch):
+    # the identity has full rank: the pivoted route takes all D columns and certifies it
     m = example4(64, 64)
-    assert _pivoted_cholesky(_lapack_operand(m.entries)) is None
+    a = _lapack_operand(m.entries)
+    lf = _pivoted_cholesky(a)
+    assert lf.shape == (64, 64)
+    w, _, e = _weyl_spectrum(a, lf)
+    assert _rank_certified(w, e)
     calls = counting_eigh(monkeypatch)
     assert gram_factor(m).rank == 64
-    assert calls == [(64, 64)]
+    assert calls == [(64, 64)]  # the eigh of L^*L, not of C
+
+
+@pytest.mark.parametrize("dim", [16, 32, 64, 128, 256])
+def test_every_input_makes_one_eigh_of_its_factor(monkeypatch, dim):
+    inputs = {**families(dim), "identity": example4(dim, dim), "full-rank eta": full_rank_eta(dim)}
+    calls = counting_eigh(monkeypatch)
+    for name, m in inputs.items():
+        a = _lapack_operand(m.entries)
+        lf = _pivoted_cholesky(a)
+        k = lf.shape[1]
+        w, _, e = _weyl_spectrum(a, lf)
+        assert k <= dim and _rank_certified(w, e), name
+        calls.clear()
+        eta = gram_factor(m)
+        assert calls == [(k, k)], (name, calls)
+        assert eta.rank == eigh_reference(m).rank, name
+    assert eta.rank == dim  # the full-rank eta
 
 
 def mp_spectrum(entries: np.ndarray) -> list:
@@ -122,9 +152,9 @@ def mp_spectrum(entries: np.ndarray) -> list:
 
 @pytest.mark.parametrize("dim", [8, 16, 24, 32])
 def test_rank_matches_an_mpmath_shadow(dim):
-    """The rank at EPS_RANK from the 40-digit spectrum of the same entries, and, wherever
-    the pivoted route certified, every 40-digit eigenvalue inside its Weyl interval."""
-    certified = 0
+    """The rank at EPS_RANK from the 40-digit spectrum of the same entries, and, with the
+    pivoted route certified on every family, every 40-digit eigenvalue inside its Weyl
+    interval."""
     for name, m in families(dim).items():
         lam = mp_spectrum(m.entries)
         with mpmath.workdps(40):
@@ -134,14 +164,8 @@ def test_rank_matches_an_mpmath_shadow(dim):
         print(f"D={dim} {name}: rank {mp_rank}, nearest eigenvalue {float(margin):.3g} "
               "of the cutoff away, relative")
         a = _lapack_operand(m.entries)
-        lf = _pivoted_cholesky(a)
-        if lf is None:
-            continue
-        w, _, e = _weyl_spectrum(a, lf)
-        if not _rank_certified(w, e):
-            continue
-        certified += 1
+        w, _, e = _weyl_spectrum(a, _pivoted_cholesky(a))
+        assert _rank_certified(w, e), name  # every family at every D
         ranked = [0.0] * (dim - len(w)) + [float(x) for x in w]
         with mpmath.workdps(40):
             assert all(abs(x - mpmath.mpf(y)) <= e for x, y in zip(lam, ranked)), name
-    assert certified >= 3  # canonical, chessboard and example5 at every D

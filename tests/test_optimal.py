@@ -682,6 +682,13 @@ def test_preclean_smeared_negative():
     assert preclean_check(smear(canonical(32), nu)) is None
 
 
+@pytest.mark.parametrize("tol", [1.0, 3.0, math.nan])
+def test_preclean_refuses_a_tol_that_passes_every_modulus(tol):
+    for m in (canonical(16), state_generated([1.0], 16)):
+        with pytest.raises(ValueError, match="preclean tol must be below 1"):
+            preclean_check(m, tol=tol)
+
+
 # --- norm convexity (proof inequality, literal form) -------------------------------
 
 
