@@ -18,8 +18,8 @@ import numpy as np
 from .measure import TWO_PI, DiagonalState, _trig_on_grid
 from ._serialize import complex_from_pairs, is_finite_real
 from .phase_matrix import (
-    EPS_EQUIV, EPS_RANK, EtaSystem, PhaseMatrix, _from_powers, _lapack_operand, _probability_ok,
-    _toeplitz, _unimodular, gram_factor)
+    _ROUND_CDOT, EPS_EQUIV, EPS_RANK, EtaSystem, PhaseMatrix, _equivalence_tol, _from_powers,
+    _lapack_operand, _probability_ok, _rounding_slack, _toeplitz, _unimodular, gram_factor)
 from .specfun import c_fock_0_2k
 
 __all__ = [
@@ -506,8 +506,10 @@ def post_equiv_class(
     Postprocessing equivalence of approximately sharp observables is a
     pure translation, so both inputs must pass the sharpness consistency
     check at ``DEFAULT_SHARP_TOL`` first; otherwise the criterion does not
-    apply and :class:`CriterionInapplicableError` is raised.
+    apply and :class:`CriterionInapplicableError` is raised.  A ``tol`` of 1
+    or more (or NaN) raises ``ValueError``, as :func:`u_equivalent` does.
     """
+    _equivalence_tol(tol)
     if m1.dim != m2.dim:
         raise ValueError("dimension mismatch")
     for which, m in (("first", m1), ("second", m2)):
@@ -624,18 +626,29 @@ def preprocess(matrix: PhaseMatrix, spec: CovariantChannelSpec) -> PhaseMatrix:
     the entry is ``sum_t G_t[q, p] c[q + t, p + t]``, one Schur product per offset, O(D^2 |T| aux)
     work by ``einsum`` and elementwise products with no BLAS call.  Each ``G_t`` is exactly
     Hermitian, and the identity spec returns the entries of ``matrix`` bit for bit.
+
+    The exact result is a sum of Schur products of Gram matrices with principal blocks of C,
+    PSD when C is (Horn & Johnson, *Topics in Matrix Analysis*, Thm 5.2.1); C's least
+    eigenvalue -sigma enters scaled by at most the child's largest diagonal entry, which is
+    the map applied to the identity.  Each term of an entry takes a dot product of length aux,
+    a complex product and at most |T| sums: within ``gamma_(_ROUND_CDOT (aux + 1) + |T|)`` of
+    the sum of their moduli, at most ``|c| sum_t |B_t[q]| |B_t[p]|``, about 1 for a spec of
+    unit weight.  A parent without a certified slack is factored.
     """
     if spec.dim != matrix.dim:
         raise ValueError("channel spec dimension does not match the matrix")
     d, c, phi = matrix.dim, matrix.entries, spec.phi
     rows, cols = np.nonzero(phi.any(axis=2))
+    offsets = np.unique(cols - rows).tolist()
     out = np.zeros((d, d), dtype=np.complex128)
-    for t in np.unique(cols - rows).tolist():
+    for t in offsets:
         lo, hi = max(0, -t), min(d, d - t)
         band = phi[np.arange(lo, hi), np.arange(lo + t, hi + t)]
         gram = np.einsum("qa,pa->qp", band.conj(), band)
         out[lo:hi, lo:hi] += gram * c[lo + t : hi + t, lo + t : hi + t]
-    return PhaseMatrix(out)
+    rho = _rounding_slack(_ROUND_CDOT * (phi.shape[2] + 1) + len(offsets), d,
+                          1.0 + _EPS_CHANNEL_WEIGHT)
+    return PhaseMatrix._built(out, matrix._slack, rho)
 
 
 def preclean_check(matrix: PhaseMatrix, tol: float = DEFAULT_TAIL_TOL) -> Optional[int]:

@@ -59,6 +59,17 @@ LEVEL_CUTOFF = 64
 # gram_factor's pivoted Cholesky stops once the largest remaining diagonal entry of
 # C - L L^* is at or below this fraction of max diag(C)
 _PIVOT_STOP = 1e-13
+# Rounding counts n, each entering a bound as Higham's gamma_n, behind the certified slack of
+# a phase matrix that is PSD by its construction (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., Lemma 3.5 and section 3.1).  A complex dot product of length k, in any
+# order and grouping of its 4k real products, has real and imaginary parts that are real sums
+# of 2k products, each within gamma_2k of the sum of their moduli; so it is within
+# sqrt(2) gamma_2k <= gamma_(3k) of sum |x_i| |y_i|.  k = 1 is one complex product.
+_ROUND_CDOT = 3
+# One entry of c_state_matrix relative to its modulus: _ratio_sqrt's integer quotient (below
+# 2^-63 relative, halved by the root), its correctly rounded conversion to float and
+# math.sqrt, and for odd sigma the rounded sqrt(pi) and the product with it: below 3.6 u.
+_ROUND_KERNEL = 4
 
 
 class TruncationError(ValueError):
@@ -73,7 +84,7 @@ class ValidationReport:
     dim: int
     hermiticity_dev: float
     diagonal_dev: float
-    # -EPS_PSD when psd_certified held, None when it did not
+    # -EPS_PSD when PSD was certified (by psd_certified or by construction), None otherwise
     min_eigenvalue_bound: Optional[float]
     max_modulus: float
     failures: tuple = ()
@@ -168,6 +179,37 @@ def validate(entries) -> ValidationReport:
     0 (:func:`_lapack_operand`); the witness, computed only for a refused
     matrix, keeps the complex ``eigvalsh`` so that its reported value holds.
     """
+    return _validate(entries)[0]
+
+
+def _rounding_slack(n: int, d: int, scale: float = 1.0) -> float:
+    """``D gamma_(n+1) scale``: a 2-norm bound of a D x D error matrix with entries within
+    ``gamma_n scale``, as ``||E||_2 <= ||E||_F <= D max |E_mn|``.
+
+    The Hermitian rebuild takes each entry from the lower triangle of one within the bound of
+    an exact Hermitian matrix, so the bound holds for the rebuild too.  The one rounding more
+    than the entries need is worth at least ``u D scale``; for n below 1e9 it covers what the
+    callers' counts leave out: the factors ``1 + 10 EPS_PSD`` and ``1 + _EPS_HERM`` by which a
+    modulus or a diagonal may exceed 1, the product of a parent's slack (below ``EPS_PSD``)
+    with a gamma_n, and the rounding of the slack's own evaluation.
+    """
+    return d * scale * _gamma(n + 1)
+
+
+def _validate(entries, parent: Optional[float] = None, rho: float = 0.0):
+    """``(report, slack)``: :func:`validate`'s report, and the certified slack or None.
+
+    ``parent`` and ``rho`` describe entries computed within 2-norm ``rho`` of ``A``, an exact
+    Hermitian matrix with ``lambda_min(A) >= -parent * max diag(A)`` of which they are the
+    rounding.  The stored matrix is the Hermitian rebuild with its diagonal reset to 1, a
+    change of at most ``diag_dev``, which also bounds ``max diag(A)`` by ``1 + diag_dev``
+    (the rounding of the computed diagonal is in the headroom of :func:`_rounding_slack`).  By Weyl's
+    inequality its least eigenvalue is at least ``-slack`` with
+    ``slack = (1 + diag_dev) parent + rho + diag_dev``.  When every other check passes and
+    ``slack < EPS_PSD``, that proves ``lambda_min >= -EPS_PSD`` and no Cholesky runs;
+    otherwise (``parent`` None, a failed check, or a slack that reached ``EPS_PSD``) the
+    report is :func:`validate`'s, factorization included, and the slack None.
+    """
     a = np.asarray(entries, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
@@ -187,7 +229,7 @@ def validate(entries) -> ValidationReport:
             max_modulus=float("nan"),
             failures=("finite",),
             witness=witness,
-        )
+        ), None
 
     herm, h = _hermitian_rebuild(a)
     herm_dev = float(herm.max())
@@ -201,14 +243,21 @@ def validate(entries) -> ValidationReport:
         failures.append("unit_diagonal")
         witness["diagonal_index"] = int(np.abs(np.diag(a) - 1.0).argmax())
 
-    psd = psd_certified(h, EPS_PSD)
+    mods = np.abs(a)
+    max_mod = float(mods.max())
+    modulus_ok = max_mod <= 1.0 + 10.0 * EPS_PSD
+
+    slack = None
+    if parent is not None and modulus_ok and not failures:
+        slack = (1.0 + diag_dev) * parent + rho + diag_dev
+        if not slack < EPS_PSD:
+            slack = None
+    psd = slack is not None or psd_certified(h, EPS_PSD)
     if not psd:
         failures.append("psd")
         witness["min_eigenvalue"] = float(np.linalg.eigvalsh(h)[0])
 
-    mods = np.abs(a)
-    max_mod = float(mods.max())
-    if max_mod > 1.0 + 10.0 * EPS_PSD:
+    if not modulus_ok:
         failures.append("modulus")
         i, j = np.unravel_index(int(mods.argmax()), mods.shape)
         witness["modulus_entry"] = [int(i), int(j)]
@@ -223,7 +272,7 @@ def validate(entries) -> ValidationReport:
         failures=tuple(failures),
         witness=witness,
         hermitian=h,
-    )
+    ), slack
 
 
 class PhaseMatrix:
@@ -232,12 +281,31 @@ class PhaseMatrix:
     Hermiticity is enforced structurally: the stored array is the
     lower-triangle rebuild that :func:`validate` checked at ``EPS_PSD``, so
     the invariant cannot drift.  ``_gram`` memoizes :func:`gram_factor`.
+    ``_slack`` is the certified slack sigma, a proven bound
+    ``lambda_min(entries) >= -sigma`` below ``EPS_PSD``, of a matrix that
+    :meth:`_built` certified by its construction; it is None when a Cholesky
+    decided (entries given to the constructor, so ``from_dict``).
     """
 
-    __slots__ = ("dim", "entries", "_gram")
+    __slots__ = ("dim", "entries", "_gram", "_slack")
 
     def __init__(self, entries):
-        report = validate(entries)
+        self._store(validate(entries), None)
+
+    @staticmethod
+    def _built(entries, parent: Optional[float], rho: float = 0.0) -> "PhaseMatrix":
+        """The phase matrix of ``entries`` that a construction proves PSD, in the terms of
+        :func:`_validate`: computed within 2-norm ``rho`` of an exact matrix whose least
+        eigenvalue is at least ``-parent`` times its diagonal scale.  ``parent`` None, a
+        failed check, or a slack that reaches ``EPS_PSD`` leaves the decision to
+        :func:`validate`, Cholesky included, as the constructor would."""
+        if parent is None:
+            return PhaseMatrix(entries)
+        matrix = object.__new__(PhaseMatrix)
+        matrix._store(*_validate(entries, parent, rho))
+        return matrix
+
+    def _store(self, report: ValidationReport, slack: Optional[float]):
         if not report.ok:
             raise ValueError(f"not a valid phase matrix: {', '.join(report.failures)}")
         h = report.hermitian
@@ -246,6 +314,7 @@ class PhaseMatrix:
         object.__setattr__(self, "entries", h)
         object.__setattr__(self, "dim", h.shape[0])
         object.__setattr__(self, "_gram", None)
+        object.__setattr__(self, "_slack", slack)
 
     def __setattr__(self, name, value):
         raise AttributeError("PhaseMatrix is immutable")
@@ -289,7 +358,8 @@ class EtaSystem:
 
 def canonical(dim: int) -> PhaseMatrix:
     """All-ones phase matrix (the canonical phase observable)."""
-    return PhaseMatrix(np.ones((dim, dim), dtype=np.complex128))
+    # exact entries of the Gram matrix of one unit vector
+    return PhaseMatrix._built(np.ones((dim, dim), dtype=np.complex128), 0.0)
 
 
 def chessboard(xi: complex, dim: int) -> PhaseMatrix:
@@ -297,6 +367,9 @@ def chessboard(xi: complex, dim: int) -> PhaseMatrix:
 
     Generated by the unit vectors e0 (even slots) and
     ``xi*e0 + sqrt(1-|xi|^2)*e1`` (odd slots); requires ``|xi| <= 1``.
+    The entries are exact, so the matrix is PSD when ``|xi| <= 1`` holds in
+    exact arithmetic, which the integer ratios of its parts decide; a ``|xi|``
+    that exceeds 1 within ``_EPS_UNIMODULAR`` is left to the Cholesky.
     """
     xi = complex(xi)
     # written so that a NaN fails it
@@ -309,7 +382,9 @@ def chessboard(xi: complex, dim: int) -> PhaseMatrix:
     c[same] = 1.0
     c[np.outer(even, ~even)] = xi
     c[np.outer(~even, even)] = np.conj(xi)
-    return PhaseMatrix(c)
+    (p, q), (r, s) = xi.real.as_integer_ratio(), xi.imag.as_integer_ratio()
+    gram = (p * s) ** 2 + (r * q) ** 2 <= (q * s) ** 2
+    return PhaseMatrix._built(c, 0.0 if gram else None)
 
 
 def _unimodular(x: complex) -> bool:
@@ -317,15 +392,17 @@ def _unimodular(x: complex) -> bool:
     return abs(abs(x) - 1.0) <= _EPS_UNIMODULAR
 
 
-def _from_powers(entries: np.ndarray, what: str, points) -> "PhaseMatrix":
-    """``PhaseMatrix(entries)`` for entries built from powers of unimodular ``points``.
+def _from_powers(entries: np.ndarray, what: str, points, parent: Optional[float] = None,
+                 rho: float = 0.0) -> "PhaseMatrix":
+    """``PhaseMatrix._built(entries, parent, rho)`` for entries built from powers of
+    unimodular ``points``.
 
     :func:`_unimodular` lets ``|x|`` leave 1 by ``_EPS_UNIMODULAR``, and powers up to D - 1
     drift by ``| |x|^(2 (D - 1)) - 1 |``.  A refusal names a point whose drift exceeds
     ``_EPS_HERM``, with D and the drift, rather than the matrix check that failed.
     """
     try:
-        return PhaseMatrix(entries)
+        return PhaseMatrix._built(entries, parent, rho)
     except ValueError:
         d = entries.shape[0]
         drifts = {x: abs(abs(x) ** (2 * (d - 1)) - 1.0) for x in points}
@@ -363,7 +440,10 @@ def state_generated(weights, dim: int) -> PhaseMatrix:
     ``weights`` is the probability vector over number states (anything
     :class:`numpy` can coerce; trailing zeros allowed).  Support at or
     beyond ``LEVEL_CUTOFF`` raises :class:`TruncationError` rather than
-    truncating silently.
+    truncating silently.  The exact matrix ``sum_s lam_s K_s`` is PSD, each
+    kernel K_s being a Gram matrix; each computed entry is within
+    ``gamma_(_ROUND_KERNEL + 1 + |support|) sum_s lam_s`` of it, for the
+    kernel entries (at most 1 in modulus), each weight's product and the sums.
     """
     lam = _probability_vector(getattr(weights, "weights", weights))
     support = np.nonzero(lam > 0)[0]
@@ -374,11 +454,17 @@ def state_generated(weights, dim: int) -> PhaseMatrix:
     c = np.zeros((dim, dim))
     for s in support:
         c += lam[s] * c_state_matrix(int(s), dim)
-    return PhaseMatrix(c)
+    rho = _rounding_slack(_ROUND_KERNEL + 1 + support.size, dim, math.fsum(lam[support]))
+    return PhaseMatrix._built(c, 0.0, rho)
 
 
 def from_eta(vectors) -> PhaseMatrix:
-    """Gram matrix of a family of unit vectors (PSD by construction)."""
+    """Gram matrix of a family of unit vectors (PSD by construction).
+
+    Each computed entry is a complex dot product of length r, within
+    ``gamma_(3r) |v_m| . |v_n| <= gamma_(3r) (1 + EPS_GRAM)^2`` of the exact Gram
+    entry (:data:`_ROUND_CDOT`, Cauchy-Schwarz and the unit-norm check).
+    """
     v = np.asarray(vectors, dtype=np.complex128)
     if v.ndim != 2:
         raise ValueError("expected a (D, r) array of row vectors")
@@ -386,7 +472,8 @@ def from_eta(vectors) -> PhaseMatrix:
     bad = np.abs(norms - 1.0) > EPS_GRAM
     if bad.any():
         raise ValueError(f"vector {int(bad.argmax())} is not unit norm")
-    return PhaseMatrix(v.conj() @ v.T)
+    rho = _rounding_slack(_ROUND_CDOT * v.shape[1], v.shape[0], (1.0 + EPS_GRAM) ** 2)
+    return PhaseMatrix._built(v.conj() @ v.T, 0.0, rho)
 
 
 def example4(n0: int, dim: int) -> PhaseMatrix:
@@ -395,7 +482,8 @@ def example4(n0: int, dim: int) -> PhaseMatrix:
         raise ValueError("need n0 >= 0")
     c = np.eye(dim, dtype=np.complex128)
     c[n0:, n0:] = 1.0
-    return PhaseMatrix(c)
+    # exact entries of the Gram matrix of e_0, ..., e_(n0-1), then e_(n0) repeated
+    return PhaseMatrix._built(c, 0.0)
 
 
 def example5(dim: int) -> PhaseMatrix:
@@ -499,14 +587,29 @@ def gram_factor(matrix: PhaseMatrix) -> EtaSystem:
 
 
 def translate(matrix: PhaseMatrix, x: complex) -> PhaseMatrix:
-    """Rotate the observable by the circle point x: entries pick up x**(n-m)."""
+    """Rotate the observable by the circle point x: entries pick up x**(n-m).
+
+    With p the computed powers, the exact result is ``diag(conj p) C diag(p)``, a congruence
+    that keeps C's inertia (Sylvester) and scales its least eigenvalue by at most
+    ``max |p_n|^2``, the child's diagonal.  Each entry takes two complex products, so lies
+    within ``gamma_(2 _ROUND_CDOT)`` of it.  A parent without a certified slack is factored.
+    """
     x = complex(x)
     if not _unimodular(x):
         raise ValueError(f"translation point must be unimodular, |x|={abs(x)}")
     d = matrix.dim
     powers = x ** np.arange(d)
     c = matrix.entries * np.outer(powers.conj(), powers)
-    return _from_powers(c, "translation point", (x,))
+    rho = _rounding_slack(2 * _ROUND_CDOT, d)
+    return _from_powers(c, "translation point", (x,), matrix._slack, rho)
+
+
+def _equivalence_tol(tol: float) -> None:
+    """ValueError unless ``tol < 1``.  From 1 on (or at NaN) the equivalence decisions answer
+    without reading the matrices: every modulus agrees within tol, no entry exceeds it, so no
+    phase is fixed by an entry, and a residual of moduli at most 1 passes."""
+    if not tol < 1.0:
+        raise ValueError(f"equivalence tol must be below 1, got {tol}")
 
 
 def u_equivalent(
@@ -523,8 +626,10 @@ def u_equivalent(
     multiply and ``abs`` do not round like the scalar ones, and the
     result is pinned bit for bit.  The search stops once every index has
     a phase.  Returns ``None`` when no such sequence exists at this
-    truncation.
+    truncation.  A ``tol`` of 1 or more (or NaN) raises ``ValueError``
+    (:func:`_equivalence_tol`).
     """
+    _equivalence_tol(tol)
     if m1.dim != m2.dim:
         raise ValueError("dimension mismatch")
     d = m1.dim

@@ -163,6 +163,25 @@ def test_check_preclean_refuses_a_tol_of_one_or_more(capsys, monkeypatch):
         assert capsys.readouterr() == ("", f"error: preclean tol must be below 1, got {float(tol)}\n")
 
 
+def test_check_uequiv_and_postclass_refuse_a_tol_of_one_or_more(tmp_path, capsys, monkeypatch):
+    # at tol >= 1 both answered without reading the matrices: a sequence for the vacuum
+    # against a chessboard, x = 1 for a translate by i
+    _, vacuum = run_cli(capsys, "gen", "state", "--levels", "1@0", "--dim", "32")
+    _, board = run_cli(capsys, "gen", "chessboard", "--xi", "0.3", "--dim", "32")
+    m = canonical(32)
+    shifted = tmp_path / "shifted.json"
+    shifted.write_text(dumps(translate(m, 1j).to_dict()))
+    board_path = tmp_path / "board.json"
+    board_path.write_text(board)
+    for criterion, first, other in (("uequiv", vacuum, board_path),
+                                    ("postclass", dumps(m.to_dict()), shifted)):
+        for tol in ("1", "2"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(first))
+            assert main(["check", criterion, "--other", str(other), "--tol", tol]) == 1
+            message = f"error: equivalence tol must be below 1, got {float(tol)}\n"
+            assert capsys.readouterr() == ("", message), (criterion, tol)
+
+
 def test_check_rank(capsys, monkeypatch):
     _, gen_out = run_cli(capsys, "gen", "chessboard", "--xi", "0.5", "--dim", "12")
     code, out = run_cli_stdin(capsys, monkeypatch, gen_out, "check", "rank")

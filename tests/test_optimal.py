@@ -548,6 +548,15 @@ def test_postclass_requires_sharp_inputs():
         post_equiv_class(chessboard(0.0, 64), canonical(64))
 
 
+@pytest.mark.parametrize("tol", [1.0, 2.0, math.nan])
+def test_postclass_refuses_a_tol_that_reads_no_entry(tol):
+    # at tol = 2 no entry exceeds tol, so the pair read as diagonal and x = 1 came back
+    m = canonical(32)
+    with pytest.raises(ValueError, match="equivalence tol must be below 1"):
+        post_equiv_class(m, translate(m, 1j), tol=tol)
+    assert abs(post_equiv_class(m, translate(m, 1j), tol=0.5) - 1j) < 1e-12
+
+
 def test_postclass_example5_vs_canonical_is_none():
     assert post_equiv_class(canonical(64), example5(64)) is None
 

@@ -394,6 +394,16 @@ def test_unimodular_chessboard_is_u_equivalent_to_canonical():
     assert u_equivalent(canonical(10), chessboard(0.5, 10)) is None
 
 
+@pytest.mark.parametrize("tol", [1.0, 2.5, math.nan])
+def test_u_equivalent_refuses_a_tol_that_reads_no_entry(tol):
+    # from tol = 1 on every modulus agrees and no entry fixes a phase: the answer would be a
+    # sequence (all ones at NaN) for a pair that is not u-equivalent
+    for other in (chessboard(0.3, 32), canonical(32)):
+        with pytest.raises(ValueError, match="equivalence tol must be below 1"):
+            u_equivalent(state_generated([1.0], 32), other, tol=tol)
+    assert u_equivalent(state_generated([1.0], 32), chessboard(0.3, 32), tol=0.5) is None
+
+
 def test_prop8_pair_not_u_equivalent():
     for d in (4, 6):
         m1, m2 = prop8_pair(d, 0.5)
