@@ -203,8 +203,8 @@ def _validate(entries, parent: Optional[float] = None, rho: float = 0.0):
     Hermitian matrix with ``lambda_min(A) >= -parent * max diag(A)`` of which they are the
     rounding.  The stored matrix is the Hermitian rebuild with its diagonal reset to 1, a
     change of at most ``diag_dev``, which also bounds ``max diag(A)`` by ``1 + diag_dev``
-    (the rounding of the computed diagonal is in the headroom of :func:`_rounding_slack`).  By Weyl's
-    inequality its least eigenvalue is at least ``-slack`` with
+    (the rounding of the computed diagonal is in the headroom of :func:`_rounding_slack`).
+    By Weyl's inequality its least eigenvalue is at least ``-slack`` with
     ``slack = (1 + diag_dev) parent + rho + diag_dev``.  When every other check passes and
     ``slack < EPS_PSD``, that proves ``lambda_min >= -EPS_PSD`` and no Cholesky runs;
     otherwise (``parent`` None, a failed check, or a slack that reached ``EPS_PSD``) the
