@@ -19,7 +19,8 @@ from .measure import TWO_PI, DiagonalState, _trig_on_grid
 from ._serialize import complex_from_pairs, is_finite_real
 from .phase_matrix import (
     _ROUND_CDOT, EPS_EQUIV, EPS_RANK, EtaSystem, PhaseMatrix, _equivalence_tol, _from_powers,
-    _lapack_operand, _probability_ok, _rounding_slack, _toeplitz, _unimodular, gram_factor)
+    _gamma, _lapack_operand, _probability_ok, _rounding_slack, _square_excess, _toeplitz,
+    _unimodular, gram_factor)
 from .specfun import c_fock_0_2k
 
 __all__ = [
@@ -245,11 +246,74 @@ def _certify_density(coeffs: np.ndarray) -> None:
                          "refinement levels")
 
 
+def _atom_table_error(atoms, table: np.ndarray) -> np.ndarray:
+    """Bounds of ``|t_k - tau_k|`` for k = 0..D-1: ``t_k = table[k]`` as computed, and
+    ``tau_k = sum_j w_j u_j^(-k)`` with ``u_j = x_j / |x_j|`` for the atoms ``(x_j, w_j)``.
+
+    The bound is a posteriori and trusts IEEE arithmetic alone, not libm, on which
+    ``x ** (-k)`` rests past |k| = 100.  The reference powers ``p_jk`` of ``y_j = conj(x_j)``
+    are a running product: ``p_j0 = 1``, ``p_j1 = y_j`` exactly, and each later one a complex
+    product, so ``|p_jk - y_j^k| <= gamma_(3(k - 1)) |y_j|^k`` (Higham, Lemma 3.5, with
+    ``sqrt(2) gamma_2 <= gamma_3``, and Lemma 3.3).  ``q_k = sum_j w_j p_jk`` is a dot product
+    of length n (:data:`_ROUND_CDOT`), so ``|q_k - sum_j w_j y_j^k| <= gamma_(3(k + n))
+    sum_j w_j |x_j|^k``.  Since ``y_j^k = |x_j|^k u_j^(-k)``, the drift is
+    ``| |x_j|^k - 1 | <= (1 + delta_j)^k - 1 <= k delta_j / (1 - k delta_j) = g_jk`` with
+    ``delta_j = | |x_j|^2 - 1 |``, computed from the integer ratios of x_j's parts and rounded
+    once (:func:`_square_excess`): ``| |x| - 1 | = delta / (|x| + 1)`` is about half of it,
+    which covers that rounding.
+    So ``|t_k - tau_k| <= |t_k - q_k| + gamma_(3(k + n)) sum_j w_j (1 + g_jk) + sum_j w_j g_jk``,
+    the measured gap read as ``sqrt(re^2 + im^2)``; the rounding of the bound's own
+    evaluation, relative u, is in the headroom of :func:`_rounding_slack`.
+    """
+    d, n = len(table), len(atoms)
+    points = np.array([complex(x) for x, _ in atoms])
+    weights = np.array([w for _, w in atoms])
+    steps = np.empty((n, d), dtype=np.complex128)
+    steps[:, 0] = 1.0
+    steps[:, 1:] = points.conj()[:, None]
+    gap = table - weights @ np.cumprod(steps, axis=1)
+    delta = [abs(a) / b for a, b in map(_square_excess, points)]
+    k = np.arange(d)
+    drift = np.outer(delta, k)
+    drift = weights @ (drift / (1.0 - drift))
+    gamma = _gamma(_ROUND_CDOT * (k + n))
+    return np.sqrt(gap.real ** 2 + gap.imag ** 2) + gamma * (weights.sum() + drift) + drift
+
+
 def smear(matrix: PhaseMatrix, nu: CircleMeasure) -> PhaseMatrix:
-    """Postprocess by a circle measure: entries multiply by nu_hat(m - n)."""
+    """Postprocess by a circle measure: entries multiply by nu_hat(m - n).
+
+    The stored matrix is the Hermitian rebuild of the lower triangle, entries
+    ``fl(c[m, n] t_k)`` with ``k = m - n >= 0`` and ``t_k = nu.fourier(k)``.  An atomic measure
+    (no density, every weight >= 0) over a parent with a certified slack sigma gives a child
+    certified by its construction.  Its exact target is ``A = C o T``, with
+    ``T = sum_j w_j v_j v_j^*`` and ``(v_j)_m = u_j^(-m)``, ``u_j = x_j / |x_j|``, so that
+    ``T[m, n] = tau_(m - n)``, ``tau_k = sum_j w_j u_j^(-k)``.  ``(C + sigma I) o T`` is PSD
+    (Horn & Johnson, *Topics in Matrix Analysis*, Thm 5.2.1), so ``lambda_min(A) >= -sigma
+    sum_j w_j``, sigma times the child's diagonal, as in :func:`preprocess`.  The rebuild
+    differs from A by a Hermitian E with ``E[m, n] = c[m, n] e_k + r_mn`` for m >= n, where
+    ``e_k = t_k - tau_k`` and ``|r_mn| <= sqrt(2) gamma_2 |c[m, n]| |t_k|`` is the rounding of
+    one complex product.  Its Toeplitz part is ``sum_k`` of e_k (below the diagonal) and
+    conj(e_k) (above) times C restricted to the k-th diagonals: one entry of modulus at most
+    ``max |c|`` per row and column on each, of 2-norm at most ``max |c|``.  So
+    ``||E||_2 <= max |c| (|e_0| + 2 sum_(k >= 1) |e_k|) + D gamma_(_ROUND_CDOT) max |t_k|``,
+    with :func:`_atom_table_error` bounding |e_k| and ``max |c| <= 1 + 10 EPS_PSD`` in the
+    headroom of :func:`_rounding_slack`.  Every other smear is factored: a density (certified
+    only to ``-_EPS_DENSITY``), a negative weight (allowed to ``-_EPS_PROB``), a parent without
+    a slack (so every CLI ``smear``), and a bound that reaches ``EPS_PSD`` (for a Dirac, from
+    D = 400 to 500 on, as the point's rounding falls).
+    """
     d = matrix.dim
     coeffs = np.array([nu.fourier(k) for k in range(-(d - 1), d)])
-    return _from_powers(matrix.entries * _toeplitz(coeffs), "atom", [p for p, _ in nu.atoms])
+    parent, rho = None, 0.0
+    if matrix._slack is not None and not nu.density_coeffs and all(w >= 0.0 for _, w in nu.atoms):
+        table = coeffs[d - 1:]
+        error = _atom_table_error(nu.atoms, table)
+        scale = (np.abs(table.real) + np.abs(table.imag)).max()
+        parent = matrix._slack
+        rho = error[0] + 2.0 * error[1:].sum() + _rounding_slack(_ROUND_CDOT, d, scale)
+    return _from_powers(matrix.entries * _toeplitz(coeffs), "atom", [p for p, _ in nu.atoms],
+                        parent, rho)
 
 
 @dataclass(frozen=True)
@@ -594,8 +658,8 @@ class CovariantChannelSpec:
 def identity_channel_spec(dim: int) -> CovariantChannelSpec:
     """The spec phi[q, n] = delta_{q n} e0, i.e. no preprocessing at all."""
     phi = np.zeros((dim, dim, 1), dtype=np.complex128)
-    for q in range(dim):
-        phi[q, q, 0] = 1.0
+    q = np.arange(dim)
+    phi[q, q, 0] = 1.0
     return CovariantChannelSpec(phi)
 
 
@@ -604,16 +668,24 @@ def tail_recovery_spec(dim: int, n0: int, lambdas) -> CovariantChannelSpec:
 
     ``lambdas`` are the unimodular tail phases indexed from 0 to D-1
     (entries below n0 are ignored); the spec is phi[q, q + n0] =
-    conj(lambda_{q + n0}) * lambda_{n0} * e0.
+    conj(lambda_{q + n0}) * lambda_{n0} * e0, and phi[q, q] = e0 for the last n0 rows, which
+    keeps their normalization at the truncation edge.  n0 outside [0, D), or ``lambdas`` of
+    another length than D, raises ``ValueError``.  The products are written out in real
+    arithmetic, as numpy's scalar complex product rounds them (its array product may not).
     """
     lam = np.asarray(lambdas, dtype=np.complex128)
+    if not 0 <= n0 < dim:
+        raise ValueError(f"n0 must lie in [0, {dim}), got {n0}")
+    if lam.shape != (dim,):
+        raise ValueError(f"lambdas must hold {dim} phases, got shape {lam.shape}")
+    a, b = lam[n0:].conj(), lam[n0]
+    tail = np.empty(dim - n0, dtype=np.complex128)
+    tail.real = a.real * b.real - a.imag * b.imag
+    tail.imag = a.real * b.imag + a.imag * b.real
     phi = np.zeros((dim, dim, 1), dtype=np.complex128)
-    for q in range(dim):
-        n = q + n0
-        if n < dim:
-            phi[q, n, 0] = np.conj(lam[n]) * lam[n0]
-        else:
-            phi[q, q, 0] = 1.0  # keep normalization at the truncation edge
+    q = np.arange(dim)
+    phi[q[: dim - n0], q[n0:], 0] = tail
+    phi[q[dim - n0 :], q[dim - n0 :], 0] = 1.0
     return CovariantChannelSpec(phi)
 
 
@@ -666,6 +738,18 @@ def preclean_check(matrix: PhaseMatrix, tol: float = DEFAULT_TAIL_TOL) -> Option
     whose entries are all real takes the real ``eigvalsh``.  A ``tol`` of 1 or more (or
     NaN) raises ``ValueError``: every modulus then passes, and the second-eigenvalue test
     too, so the answer would not read the matrix.
+
+    The second eigenvalue of the k x k tail T is bounded first, in O(k^2) and with no
+    factorization.  With u the tail's first column, Weyl's inequality gives
+    ``lambda_2(T) <= lambda_2(u u^*) + ||T - u u^*||_2 = ||T - u u^*||_2``, at most the
+    Frobenius norm of the explicit residual ``T - fl(u u^*)`` times ``1 + gamma_(k^2)``, plus
+    ``sqrt(2) gamma_2 ||u||^2`` for the rounding of ``fl(u u^*)`` (Higham, Lemma 3.5).  When
+    that bound, plus ``gamma_k ||T||_F`` for the backward error of ``eigvalsh`` (an estimate,
+    as in :func:`phase_matrix._weyl_spectrum`), is within ``4 k tol + _EPS_TAIL_EIGEN``, the
+    ``eigvalsh`` test passes too, and n0 is returned without it; otherwise ``eigvalsh``
+    decides.  For a PSD tail, ``T - u u^*`` is the Schur complement of ``T[0, 0] = 1``, PSD
+    with trace ``sum_m (1 - |T[m, 0]|^2) <= 2 k tol``, so the bound fails only where rounding
+    rivals ``4 k tol`` or the tail is PSD only to ``-EPS_PSD``.
     """
     if not tol < 1.0:
         raise ValueError(f"preclean tol must be below 1, got {tol}")
@@ -676,9 +760,14 @@ def preclean_check(matrix: PhaseMatrix, tol: float = DEFAULT_TAIL_TOL) -> Option
     if not hits.size:
         return None
     n0 = int(hits[0])
-    tail = matrix.entries[n0:, n0:]
-    w = np.linalg.eigvalsh(_lapack_operand(tail))
+    tail = _lapack_operand(matrix.entries[n0:, n0:])
     k = d - n0
-    if w[-2] > 4.0 * k * tol + _EPS_TAIL_EIGEN:
+    bound = 4.0 * k * tol + _EPS_TAIL_EIGEN
+    u = tail[:, 0]
+    size = np.vdot(u, u).real
+    resid = np.linalg.norm(tail - np.outer(u, u.conj())) * (1.0 + _gamma(k * k))
+    if resid + _gamma(_ROUND_CDOT) * size + _gamma(k) * (size + resid) <= bound:
+        return n0
+    if np.linalg.eigvalsh(tail)[-2] > bound:
         return None
     return n0

@@ -382,9 +382,15 @@ def chessboard(xi: complex, dim: int) -> PhaseMatrix:
     c[same] = 1.0
     c[np.outer(even, ~even)] = xi
     c[np.outer(~even, even)] = np.conj(xi)
-    (p, q), (r, s) = xi.real.as_integer_ratio(), xi.imag.as_integer_ratio()
-    gram = (p * s) ** 2 + (r * q) ** 2 <= (q * s) ** 2
-    return PhaseMatrix._built(c, 0.0 if gram else None)
+    excess, _ = _square_excess(xi)
+    return PhaseMatrix._built(c, 0.0 if excess <= 0 else None)
+
+
+def _square_excess(x: complex):
+    """``(a, b)``, integers with ``|x|^2 - 1 = a / b`` exactly, from the integer ratios of
+    x's parts."""
+    (p, q), (r, s) = x.real.as_integer_ratio(), x.imag.as_integer_ratio()
+    return (p * s) ** 2 + (r * q) ** 2 - (q * s) ** 2, (q * s) ** 2
 
 
 def _unimodular(x: complex) -> bool:

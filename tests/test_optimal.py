@@ -1,6 +1,7 @@
 """Smearing, sharpness trends, extremality, recovery and channel criteria."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -650,6 +651,43 @@ def test_preprocess_random_spec_yields_valid_matrix():
         assert validate(out.entries).ok
 
 
+def loop_specs(dim, n0, lam):
+    """``identity_channel_spec`` and ``tail_recovery_spec`` as a loop over q, one scalar
+    product per row."""
+    ident = np.zeros((dim, dim, 1), dtype=np.complex128)
+    tail = np.zeros((dim, dim, 1), dtype=np.complex128)
+    for q in range(dim):
+        ident[q, q, 0] = 1.0
+        n = q + n0
+        if n < dim:
+            tail[q, n, 0] = np.conj(lam[n]) * lam[n0]
+        else:
+            tail[q, q, 0] = 1.0
+    return ident, tail
+
+
+@pytest.mark.parametrize("dim", [1, 8, 256])
+def test_channel_specs_match_the_loop_form_bitwise(dim):
+    rng = np.random.default_rng(dim)
+    lam = np.exp(2j * np.pi * rng.random(dim))
+    for n0 in sorted({0, 1 % dim, dim // 3, dim - 1}):
+        ident, tail = loop_specs(dim, n0, lam)
+        for got, want in ((identity_channel_spec(dim), ident),
+                          (tail_recovery_spec(dim, n0, lam), tail)):
+            assert np.array_equal(got.phi.view(np.uint64), want.view(np.uint64)), n0
+
+
+def test_tail_recovery_spec_refuses_an_offset_or_phases_that_do_not_fit():
+    lam = np.exp(1j * np.arange(8))
+    for n0 in (-2, -1, 8, 11):
+        with pytest.raises(ValueError, match=rf"n0 must lie in \[0, 8\), got {n0}"):
+            tail_recovery_spec(8, n0, lam)
+    for bad in (lam[:5], np.append(lam, 1.0), lam.reshape(2, 4)):
+        message = f"lambdas must hold 8 phases, got shape {bad.shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tail_recovery_spec(8, 2, bad)
+
+
 def test_preprocess_tail_spec_recovers_canonical():
     rng = np.random.default_rng(9)
     d, n0 = 24, 3
@@ -689,6 +727,52 @@ def test_preclean_state_generated_negative():
 def test_preclean_smeared_negative():
     nu = CircleMeasure(atoms=((unit(0.2), 0.5), (unit(-0.2), 0.5)))
     assert preclean_check(smear(canonical(32), nu)) is None
+
+
+def counting_eigvalsh(monkeypatch) -> list:
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    return calls
+
+
+def eigvalsh_route(matrix, tol):
+    """``preclean_check`` with the second tail eigenvalue always read by ``eigvalsh``."""
+    d = matrix.dim
+    mods = np.abs(matrix.entries)
+    n0 = next((n for n in range(d - 1) if mods[n:, n:].min() >= 1.0 - tol), None)
+    if n0 is None:
+        return None
+    w = np.linalg.eigvalsh(matrix.entries[n0:, n0:])
+    return None if w[-2] > 4.0 * (d - n0) * tol + optimal._EPS_TAIL_EIGEN else n0
+
+
+@pytest.mark.parametrize("dim", [64, 256])
+def test_preclean_rank_one_tails_need_no_eigvalsh(monkeypatch, dim):
+    mats = {
+        "canonical": canonical(dim),
+        "example4": example4(5, dim),
+        "example5": example5(dim),
+        "translate canonical": translate(canonical(dim), unit(0.7)),
+    }
+    want = {name: eigvalsh_route(m, 1e-6) for name, m in mats.items()}
+    calls = counting_eigvalsh(monkeypatch)
+    for name, m in mats.items():
+        assert preclean_check(m) == want[name] == {"example4": 5, "example5": 4}.get(name, 0)
+    assert calls == []
+
+
+def test_preclean_tail_whose_rank_one_bound_fails_takes_one_eigvalsh(monkeypatch):
+    """T = (1 + delta) lam lam^* - delta I has unit diagonal, moduli 1 + delta and least
+    eigenvalue -delta, within EPS_PSD: at tol = 0 its residual after the first column,
+    about delta k, is past the bound 1e-10, so eigvalsh decides, and reads n0 = 0."""
+    dim, delta = 64, 5e-11
+    lam = np.exp(2j * np.pi * np.random.default_rng(7).random(dim))
+    m = PhaseMatrix((1 + delta) * np.outer(lam, lam.conj()) - delta * np.eye(dim))
+    want = eigvalsh_route(m, 0.0)
+    calls = counting_eigvalsh(monkeypatch)
+    assert preclean_check(m, tol=0.0) == want == 0
+    assert calls == [(dim, dim)]
 
 
 @pytest.mark.parametrize("tol", [1.0, 3.0, math.nan])

@@ -17,6 +17,7 @@ import pytest
 from phaseopt.optimal import (
     CircleMeasure,
     CovariantChannelSpec,
+    _atom_table_error,
     identity_channel_spec,
     preprocess,
     smear,
@@ -42,6 +43,7 @@ from test_specfun import oracle_entry
 
 X = cmath.exp(0.7j)
 STATE_WEIGHTS = [0.1, 0.25, 0.0, 0.3, 0.0, 0.35]  # levels {0, 1, 3, 5}
+TWO_ATOMS = CircleMeasure(atoms=((cmath.exp(0.3j), 0.4), (cmath.exp(-1.1j), 0.6)))
 
 
 def counting_cholesky(monkeypatch) -> list:
@@ -84,6 +86,8 @@ def with_children(dim) -> dict:
     for name, m in list(mats.items()):
         mats[f"translate {name}"] = translate(m, X)
         mats[f"tail preprocess {name}"] = preprocess(m, tail_spec(dim))
+        mats[f"Dirac smear {name}"] = smear(m, CircleMeasure.dirac(X))
+        mats[f"two-atom smear {name}"] = smear(m, TWO_ATOMS)
     return mats
 
 
@@ -96,6 +100,7 @@ def test_built_and_derived_matrices_make_no_factorization(monkeypatch, dim):
             "translate": translate(m, X),
             "preprocess identity": preprocess(m, identity_channel_spec(dim)),
             "preprocess tail": preprocess(m, tail_spec(dim)),
+            "Dirac smear": smear(m, CircleMeasure.dirac(X)),
         }
         for kind, child in children.items():
             assert child._slack is not None and child._slack < EPS_PSD, (name, kind)
@@ -122,8 +127,9 @@ def test_entries_without_a_construction_are_factored_once(monkeypatch):
 
     given = one_factorization(lambda: PhaseMatrix(m5.entries))
     one_factorization(lambda: PhaseMatrix.from_dict(m5.to_dict()))
-    two_atoms = CircleMeasure(atoms=((cmath.exp(0.3j), 0.4), (cmath.exp(-1.1j), 0.6)))
-    one_factorization(lambda: smear(m5, two_atoms))
+    # an atomic smear of a certified matrix is certified by its construction
+    calls.clear()
+    assert smear(m5, TWO_ATOMS)._slack < EPS_PSD and calls == []
     one_factorization(lambda: translate(given, X))
     one_factorization(lambda: preprocess(given, identity_channel_spec(dim)))
     # |xi| a hair above 1: the exact matrix is not PSD, the Cholesky passes it as before
@@ -131,6 +137,54 @@ def test_entries_without_a_construction_are_factored_once(monkeypatch):
     assert validate(over.entries).ok
     calls.clear()
     assert chessboard(1.0, dim)._slack == 0.0 and calls == []
+
+
+def test_smears_without_a_certificate_are_factored_once(monkeypatch):
+    """A density, a negative weight, a factored parent, and a table bound that reaches
+    EPS_PSD each leave the decision to one Cholesky, with the entries of the certified route."""
+    m5 = example5(64)
+    given = PhaseMatrix(m5.entries)
+    dirac = CircleMeasure.dirac(X)
+    cases = {
+        "density": (m5, CircleMeasure(atoms=((X, 0.5),), density_coeffs=(0.5, 0.2 - 0.1j))),
+        "negative weight": (m5, CircleMeasure(atoms=((X, -1e-13), (cmath.exp(2j), 1 + 1e-13)))),
+        "factored parent": (given, dirac),
+        "Dirac at D = 512": (example5(512), dirac),
+    }
+    table = np.array([X ** -k for k in range(512)])
+    error = _atom_table_error(dirac.atoms, table)
+    assert error[0] + 2 * error[1:].sum() >= EPS_PSD
+    calls = counting_cholesky(monkeypatch)
+    for name, (parent, nu) in cases.items():
+        calls.clear()
+        child = smear(parent, nu)
+        assert calls == [(parent.dim, parent.dim)] and child._slack is None, name
+    # the same entries as the certified route where it applies
+    assert np.array_equal(smear(given, dirac).entries.view(np.uint64),
+                          smear(m5, dirac).entries.view(np.uint64))
+
+
+@pytest.mark.parametrize("dim", [8, 32, 256])
+def test_atom_table_bound_holds_against_mpmath_powers(dim):
+    """|t_k - tau_k| <= e_k for every k, with tau_k = sum_j w_j u_j^(-k) at 40 digits and
+    u_j = x_j / |x_j|; the last measure has a point off the circle by 1e-13 (the drift)."""
+    measures = {
+        "Dirac": CircleMeasure.dirac(X),
+        "two atoms": TWO_ATOMS,
+        "drifting": CircleMeasure(atoms=((X * (1 + 1e-13), 0.7), (cmath.exp(-2.9j), 0.3))),
+    }
+    for name, nu in measures.items():
+        table = np.array([nu.fourier(k) for k in range(dim)])
+        error = _atom_table_error(nu.atoms, table)
+        with mpmath.workdps(40):
+            units = [(mpmath.mpc(x) / abs(mpmath.mpc(x)), mpmath.mpf(w)) for x, w in nu.atoms]
+            worst = max(
+                abs(mpmath.mpc(complex(table[k])) - mpmath.fsum(w * u ** -k for u, w in units))
+                / error[k] for k in range(dim)
+            )
+        assert worst <= 1, (name, float(worst))
+        print(f"D={dim} {name}: worst table error {float(worst):.3g} of its bound, "
+              f"l1 form {error[0] + 2 * error[1:].sum():.3g}")
 
 
 def test_a_refused_construction_keeps_its_message():
