@@ -266,7 +266,7 @@ def _atom_table_error(atoms, table: np.ndarray) -> np.ndarray:
     evaluation, relative u, is in the headroom of :func:`_rounding_slack`.
     """
     d, n = len(table), len(atoms)
-    points = np.array([complex(x) for x, _ in atoms])
+    points = np.array([x for x, _ in atoms])
     weights = np.array([w for _, w in atoms])
     steps = np.empty((n, d), dtype=np.complex128)
     steps[:, 0] = 1.0

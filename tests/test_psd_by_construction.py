@@ -141,7 +141,7 @@ def test_entries_without_a_construction_are_factored_once(monkeypatch):
 
 def test_smears_without_a_certificate_are_factored_once(monkeypatch):
     """A density, a negative weight, a factored parent, and a table bound that reaches
-    EPS_PSD each leave the decision to one Cholesky, with the entries of the certified route."""
+    EPS_PSD each leave the decision to one Cholesky; the entries do not depend on the route."""
     m5 = example5(64)
     given = PhaseMatrix(m5.entries)
     dirac = CircleMeasure.dirac(X)
