@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circle_measures import convolve
+# preclean_check with the second tail eigenvalue always read by eigvalsh
+from test_bitwise_reference import _reference_preclean_check
 from phaseopt import optimal
 from phaseopt.measure import TWO_PI, Arc, DensityMatrix, density, effect_norm
 from phaseopt.optimal import (
@@ -736,17 +738,6 @@ def counting_eigvalsh(monkeypatch) -> list:
     return calls
 
 
-def eigvalsh_route(matrix, tol):
-    """``preclean_check`` with the second tail eigenvalue always read by ``eigvalsh``."""
-    d = matrix.dim
-    mods = np.abs(matrix.entries)
-    n0 = next((n for n in range(d - 1) if mods[n:, n:].min() >= 1.0 - tol), None)
-    if n0 is None:
-        return None
-    w = np.linalg.eigvalsh(matrix.entries[n0:, n0:])
-    return None if w[-2] > 4.0 * (d - n0) * tol + optimal._EPS_TAIL_EIGEN else n0
-
-
 @pytest.mark.parametrize("dim", [64, 256])
 def test_preclean_rank_one_tails_need_no_eigvalsh(monkeypatch, dim):
     mats = {
@@ -755,7 +746,7 @@ def test_preclean_rank_one_tails_need_no_eigvalsh(monkeypatch, dim):
         "example5": example5(dim),
         "translate canonical": translate(canonical(dim), unit(0.7)),
     }
-    want = {name: eigvalsh_route(m, 1e-6) for name, m in mats.items()}
+    want = {name: _reference_preclean_check(m, 1e-6) for name, m in mats.items()}
     calls = counting_eigvalsh(monkeypatch)
     for name, m in mats.items():
         assert preclean_check(m) == want[name] == {"example4": 5, "example5": 4}.get(name, 0)
@@ -769,7 +760,7 @@ def test_preclean_tail_whose_rank_one_bound_fails_takes_one_eigvalsh(monkeypatch
     dim, delta = 64, 5e-11
     lam = np.exp(2j * np.pi * np.random.default_rng(7).random(dim))
     m = PhaseMatrix((1 + delta) * np.outer(lam, lam.conj()) - delta * np.eye(dim))
-    want = eigvalsh_route(m, 0.0)
+    want = _reference_preclean_check(m, 0.0)
     calls = counting_eigvalsh(monkeypatch)
     assert preclean_check(m, tol=0.0) == want == 0
     assert calls == [(dim, dim)]
