@@ -45,19 +45,26 @@ __all__ = [
 ]
 
 # Largest group order N whose 2^N - 1 outcome subsets are swept: one cached
-# float per subset per observable (8 MiB at N = 20) plus one int32 orbit
-# index per N (4 MiB at N = 20).
+# float per subset per observable (8 MiB at N = 20), one int32 orbit index
+# per N (4 MiB at N = 20), and _SWEEP_BYTES of effect sums while a sweep runs.
 MAX_SWEEP_ORDER = 20
 # Largest group order N of a scenario file: the covariance checks make N^2
-# products of dim x dim matrices, batched over x for each g, 0.07 s each at
-# N = 256 and dim 3 (0.5 s at N = 512) on a 2-core Xeon.
+# products of dim x dim matrices, stacked over g and x up to _STACK_BYTES,
+# 0.07 s each at N = 256 and dim 3 (0.5 s at N = 512) on a 2-core Xeon.
 MAX_SCENARIO_ORDER = 256
 # Largest representation dimension of a scenario file: covariantize takes
-# O(N dim^6) time and O(dim^4) memory, 3.9 s at N = 256 and dim 16 (3.8 s at
+# O(N dim^6) time and O(dim^4) memory, one dim^2 x dim^2 superoperator
+# (1 MiB at dim 16) per stacked g, 3.9 s at N = 256 and dim 16 (3.8 s at
 # N = 4 and dim 32) on the same machine.
 MAX_SCENARIO_DIM = 16
 # Orbit representatives are stacked 2^_BLOCK_BITS at a time for each eigvalsh call.
 _BLOCK_BITS = 9
+# Bytes of effect sums a subset sweep holds: its parent table plus one block
+# of 2^_BLOCK_BITS sums (the whole table at N <= 14 and dim <= 5, 0.47 MB).
+_SWEEP_BYTES = 4 << 20
+# Bytes of one stacked operand of the per-g loops: one dim-16 superoperator,
+# so at dim <= 5 and N <= 14 one stack holds every g.
+_STACK_BYTES = 1 << 20
 # entrywise slack of an observable's seed and effects (Hermitian, PSD,
 # resolution of the identity, pullback through a channel) and of norm growth
 _EPS_EFFECT = 1e-10
@@ -121,15 +128,17 @@ class CyclicRep:
         u = self.unitaries
         return u @ a @ u.conj().transpose(0, 2, 1)
 
-    def state_action(self, g: int) -> np.ndarray:
+    def state_action(self, g) -> np.ndarray:
         """Superoperator of rho -> U(g) rho U(g)^* on column-vectorized rho.
 
         ``kron(conj U, U)`` as one broadcast product; the entries are the
-        same products ``np.kron`` forms.
+        same products ``np.kron`` forms.  A slice of g gives the
+        ``(len, dim^2, dim^2)`` stack of them.
         """
-        u = self.unitary(g)
+        u = self.unitaries[g] if isinstance(g, slice) else self.unitary(g)
         d = self.dim
-        return (u.conj()[:, None, :, None] * u[None, :, None, :]).reshape(d * d, d * d)
+        kron = u.conj()[..., :, None, :, None] * u[..., None, :, None, :]
+        return kron.reshape(u.shape[:-2] + (d * d, d * d))
 
 
 @dataclass(frozen=True)
@@ -230,7 +239,17 @@ class FiniteCovariantObservable:
         least rotation of its masks) is summed from zeros through its
         elements in ascending order, as ``norm`` does, so entry ``mask``
         equals ``self.norm(X)`` bit for bit, X being the elements whose
-        bits are set.  Computed on first use, then cached read-only.
+        bits are set.
+
+        The sums share their prefixes.  Removing a representative's top
+        element leaves its parent, again a representative and earlier in
+        ``reps`` (see :func:`_orbits`), so a table of sums takes each row
+        as its parent's row plus one effect: one gather and one add per
+        top element.  The table holds the representatives below 2^L, L the
+        widest low-bit width whose rows fit ``_SWEEP_BYTES`` beside one
+        block of 2^_BLOCK_BITS rows; a representative above it starts from
+        its low L bits, a representative too, and adds its high elements
+        in ascending order.  Computed on first use, then cached read-only.
         Raises ValueError above ``MAX_SWEEP_ORDER``.
         """
         if self._subset_norms is None:
@@ -240,18 +259,30 @@ class FiniteCovariantObservable:
                     f"group order N = {n} is above the subset-sweep limit "
                     f"{MAX_SWEEP_ORDER} (2^N - 1 subsets)"
                 )
-            reps, index = _orbits(n)
+            reps, index, parents, bounds = _orbits(n)
+            block_rows = min(len(reps) - 1, 1 << _BLOCK_BITS)
+            room = max(_SWEEP_BYTES // (d * d * 16) - block_rows, 1)
+            width = int(np.count_nonzero(bounds <= room)) - 1
+            table = np.zeros((bounds[width], d, d), dtype=np.complex128)  # row 0: the empty mask
+            for t in range(width):
+                for lo in range(bounds[t], bounds[t + 1], block_rows):
+                    rows = slice(lo, min(lo + block_rows, bounds[t + 1]))
+                    np.add(table[parents[rows]], self._effects[t], out=table[rows])
             norms = np.zeros(len(reps))  # norms[0], the empty mask, stays 0.0
-            # one reused buffer: above malloc's mmap threshold (128 KiB by
-            # default) each fresh 512 x d x d temporary costs page faults
-            block = np.empty((min(len(reps) - 1, 1 << _BLOCK_BITS), d, d), dtype=np.complex128)
-            for start in range(1, len(reps), len(block)):
-                chunk = reps[start : start + len(block)]
-                sums = block[: len(chunk)]
-                sums.fill(0.0)
-                for k in range(n):
-                    has_k = (chunk >> k & 1).astype(bool)[:, None, None]
-                    np.add(sums, self._effects[k], out=sums, where=has_k)
+            block = None
+            for start in range(1, len(reps), block_rows):
+                chunk = reps[start : start + block_rows]
+                if start + len(chunk) <= len(table):
+                    sums = table[start : start + len(chunk)]
+                else:
+                    if block is None:
+                        block = np.empty((block_rows, d, d), dtype=np.complex128)
+                    # mode="clip" gathers straight into out; the default copies first
+                    low = index[chunk & ((1 << width) - 1)]
+                    sums = np.take(table, low, axis=0, out=block[: len(chunk)], mode="clip")
+                    for k in range(width, n):
+                        has_k = (chunk >> k & 1).astype(bool)[:, None, None]
+                        np.add(sums, self._effects[k], out=sums, where=has_k)
                 norms[start : start + len(chunk)] = np.linalg.eigvalsh(sums)[:, -1]
             out = norms[index]
             out.flags.writeable = False
@@ -260,13 +291,18 @@ class FiniteCovariantObservable:
 
 
 @functools.cache
-def _orbits(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Cyclic orbits of the n-bit masks as ``(reps, index)``.
+def _orbits(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cyclic orbits of the n-bit masks as ``(reps, index, parents, bounds)``.
 
     ``reps`` lists each orbit's least rotation in ascending order, so
     ``reps[0]`` is the empty mask, and ``index[mask]`` is the position of
-    the mask's least rotation in ``reps``.  Cached per n; ``subset_norms``
-    keeps n <= MAX_SWEEP_ORDER, so at most 20 entries exist.
+    the mask's least rotation in ``reps``.  ``reps[bounds[t]:bounds[t + 1]]``
+    are the representatives whose top element is t, and ``parents[i]`` is
+    the position of ``reps[i]`` less its top element (0 for the empty
+    mask).  That parent is its own least rotation, so it precedes
+    ``reps[i]``, for every n <= MAX_SWEEP_ORDER (tested exhaustively).
+    Cached per n; ``subset_norms`` keeps n <= MAX_SWEEP_ORDER, so at most
+    20 entries exist.
     """
     full = (1 << n) - 1
     rot = np.arange(1 << n, dtype=np.int32)
@@ -278,8 +314,12 @@ def _orbits(n: int) -> Tuple[np.ndarray, np.ndarray]:
         np.minimum(least, rot, out=least)
     is_rep = least == rot
     reps, index = np.flatnonzero(is_rep), (np.cumsum(is_rep, dtype=np.int32) - 1)[least]
-    reps.flags.writeable = index.flags.writeable = False
-    return reps, index
+    bounds = np.searchsorted(reps, 1 << np.arange(n + 1))
+    tops = np.repeat(1 << np.arange(n), np.diff(bounds))
+    parents = np.concatenate(([0], index[reps[1:] - tops]))
+    for a in (reps, index, parents, bounds):
+        a.flags.writeable = False
+    return reps, index, parents, bounds
 
 
 def make_covariant(rep: CyclicRep, seed: np.ndarray) -> FiniteCovariantObservable:
@@ -415,11 +455,23 @@ def covariantize(rep: CyclicRep, superop: np.ndarray) -> np.ndarray:
         raise ValueError("input is not a channel (CP + trace-preserving)")
     n = rep.order
     out = np.zeros_like(superop)
-    for g in range(n):
-        s = rep.state_action(g)
-        out += s @ superop @ s.conj().T
+    for block in _g_blocks(n, superop.nbytes):
+        s = rep.state_action(block)
+        for term in s @ superop @ s.conj().transpose(0, 2, 1):
+            out += term
     out /= n
     return out
+
+
+def _g_blocks(n: int, nbytes: int) -> list:
+    """Slices of ``range(n)``, each stacking at most ``_STACK_BYTES`` at ``nbytes`` per g.
+
+    Each slice holds one g at least.  A stacked ``matmul`` runs the same
+    BLAS product on each slice as the per-g one, so the stacked loops keep
+    every float bit for bit.
+    """
+    step = max(1, _STACK_BYTES // nbytes)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def mix(
@@ -485,6 +537,23 @@ def convexity_check(
     }
 
 
+def _pullback_residuals(
+    obs: FiniteCovariantObservable,
+    pre_obs: FiniteCovariantObservable,
+    superop: np.ndarray,
+) -> np.ndarray:
+    """Largest entry of ``Phi^*(E({x})) - F({x})`` for each x, stacked over blocks of x."""
+    n, d = obs.rep.order, obs.rep.dim
+    adj = adjoint_channel_matrix(superop)
+    out = np.empty(n)
+    for block in _g_blocks(n, obs.effects[0].nbytes):
+        # column-vectorized effects, one matrix-vector product each, as apply_channel
+        vecs = obs.effects[block].transpose(0, 2, 1).reshape(-1, d * d, 1)
+        mapped = (adj @ vecs).reshape(-1, d, d).transpose(0, 2, 1)
+        out[block] = np.abs(mapped - pre_obs.effects[block]).max(axis=(1, 2))
+    return out
+
+
 def pre_norm_check(
     obs: FiniteCovariantObservable,
     pre_obs: FiniteCovariantObservable,
@@ -498,13 +567,11 @@ def pre_norm_check(
     everywhere (unitary channels give equality everywhere).
     """
     n = obs.rep.order
-    adj = adjoint_channel_matrix(superop)
-    for x in range(n):
-        mapped = apply_channel(adj, obs.effect(x))
-        if np.abs(mapped - pre_obs.effect(x)).max() > _EPS_EFFECT:
-            raise ValueError(
-                f"pre_obs is not the pullback of obs through the channel at x={x}"
-            )
+    off = np.flatnonzero(_pullback_residuals(obs, pre_obs, superop) > _EPS_EFFECT)
+    if len(off):
+        raise ValueError(
+            f"pre_obs is not the pullback of obs through the channel at x={off[0]}"
+        )
     nf, ne = pre_obs.subset_norms()[1:], obs.subset_norms()[1:]
     grew = nf > ne + _EPS_EFFECT
     if grew.any():

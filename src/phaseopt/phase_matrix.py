@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._serialize import matrix_from_dict, matrix_to_dict
 from .specfun import c_state_matrix
@@ -142,7 +143,8 @@ def _lapack_operand(a: np.ndarray) -> np.ndarray:
 def _toeplitz(table: np.ndarray) -> np.ndarray:
     """Multiplier f(m - n) as a D x D array, from table = f(-(D-1)), ..., f(D-1)."""
     d = (len(table) + 1) // 2
-    return table[np.subtract.outer(np.arange(d), np.arange(d)) + (d - 1)]
+    # row m of the reversed table's windows, read from the bottom, starts at f(m): a view
+    return sliding_window_view(table[::-1], d)[::-1]
 
 
 def psd_certified(h: np.ndarray, eps: float) -> bool:
@@ -159,8 +161,8 @@ def psd_certified(h: np.ndarray, eps: float) -> bool:
     if not np.isfinite(h).all():
         return False
     h = _lapack_operand(h)
-    shifted = np.array(h, dtype=np.result_type(h, np.float64))
-    shifted[np.diag_indices_from(shifted)] += eps
+    shifted = np.array(h, dtype=np.result_type(h, np.float64), order="C")
+    shifted.reshape(-1)[:: len(shifted) + 1] += eps  # the diagonal, as a strided view
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

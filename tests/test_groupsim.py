@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from phaseopt import groupsim
-from phaseopt.cli import _covariance_residual
+from phaseopt.cli import _commutation_residual, _covariance_residual
 from phaseopt.groupsim import (
     MAX_SWEEP_ORDER,
     CyclicRep,
@@ -576,6 +577,44 @@ def test_sweep_at_the_order_limit_agrees_with_direct_eigvalsh():
         assert got[mask] == obs.norm(subset)
 
 
+def test_orbit_parents_are_earlier_representatives():
+    # subset_norms sums each representative from its parent's row and each one
+    # above its table from its low bits, so its bits rest on this for every N
+    for n in range(1, MAX_SWEEP_ORDER + 1):
+        reps, index, parents, bounds = groupsim._orbits(n)
+        tops = np.array([1 << (int(r).bit_length() - 1) for r in reps[1:]])
+        assert parents[0] == 0 and np.array_equal(reps[parents[1:]], reps[1:] - tops), n
+        assert (parents[1:] < np.arange(1, len(reps))).all(), n
+        assert np.array_equal(index[reps], np.arange(len(reps))), n
+        assert np.array_equal(bounds, np.searchsorted(reps, 1 << np.arange(n + 1))), n
+
+
+def test_subset_norms_above_the_parent_table_match_bit_for_bit(monkeypatch):
+    # a budget of no rows sums every orbit from zeros; a small one leaves a low-bit table
+    rng = np.random.default_rng(77)
+    for n, d in ((9, 3), (12, 2)):
+        obs = random_observable(rng, n, d)
+        want = obs.subset_norms()
+        rows = min(len(groupsim._orbits(n)[0]) - 1, 1 << groupsim._BLOCK_BITS) + 8
+        for budget in (0, rows * d * d * 16):
+            monkeypatch.setattr(groupsim, "_SWEEP_BYTES", budget)
+            twin = FiniteCovariantObservable(obs.rep, obs.seed)
+            assert_bits_equal(twin.subset_norms(), want, (n, d, budget))
+
+
+def test_sweep_at_the_order_limit_stays_within_its_byte_budget():
+    rng = np.random.default_rng(79)
+    obs = random_observable(rng, MAX_SWEEP_ORDER, 16)
+    groupsim._orbits(MAX_SWEEP_ORDER)  # the orbit index is cached per N, outside the sweep
+    tracemalloc.start()
+    try:
+        norms = obs.subset_norms()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= groupsim._SWEEP_BYTES + norms.nbytes, peak
+
+
 def test_sweeps_refuse_group_orders_above_the_limit():
     n = MAX_SWEEP_ORDER + 1
     obs = make_covariant(CyclicRep(n, (0,)), np.ones((1, 1)))
@@ -627,6 +666,29 @@ def loop_covariance_residual(rep, obs):
     return worst
 
 
+def loop_pullback_residuals(obs, pre, superop):
+    adj = adjoint_channel_matrix(superop)
+    n = obs.rep.order
+    return np.array(
+        [np.abs(apply_channel(adj, obs.effect(x)) - pre.effect(x)).max() for x in range(n)]
+    )
+
+
+def loop_pullback_check(obs, pre, superop):
+    for x, residual in enumerate(loop_pullback_residuals(obs, pre, superop)):
+        if residual > groupsim._EPS_EFFECT:
+            raise ValueError(f"pre_obs is not the pullback of obs through the channel at x={x}")
+
+
+def loop_commutation_residual(rep, superop):
+    worst = 0.0
+    for g in range(rep.order):
+        u = loop_unitary(rep, g)
+        s = np.kron(u.conj(), u)
+        worst = max(worst, float(np.abs(s @ superop - superop @ s).max()))
+    return worst
+
+
 def assert_bits_equal(got, want, what):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape and got.dtype == want.dtype, what
@@ -663,9 +725,31 @@ def test_unitary_stack_routes_match_the_per_g_forms_bit_for_bit(n, d):
         assert_bits_equal(
             _covariance_residual(rep, obs), loop_covariance_residual(rep, obs), weights
         )
+        # the pullback through a diagonal unitary channel passes, offsets planted
+        # from x = n // 2 on fail first there, and a random channel's residuals are large
+        w = np.diag(np.exp(2j * np.pi * rng.random(d)))
+        pre = FiniteCovariantObservable(rep, w.conj().T @ obs.seed @ w)
+        chan = random_channel(d, rng)
+        for superop in (unitary_channel(w), chan):
+            assert_bits_equal(
+                groupsim._pullback_residuals(obs, pre, superop),
+                loop_pullback_residuals(obs, pre, superop),
+                weights,
+            )
+        planted = FiniteCovariantObservable(rep, pre.seed)
+        planted._effects = pre.effects + 1e-6 * (np.arange(n) >= n // 2)[:, None, None]
+        failed = outcome(pre_norm_check, obs, planted, unitary_channel(w))
+        assert failed == outcome(loop_pullback_check, obs, planted, unitary_channel(w))
+        assert failed.endswith(f"at x={n // 2}"), weights
         if d <= 5 or n <= 2:
-            chan = random_channel(d, rng)
-            assert_bits_equal(covariantize(rep, chan), loop_covariantize(rep, chan), weights)
+            cov = covariantize(rep, chan)
+            assert_bits_equal(cov, loop_covariantize(rep, chan), weights)
+            for superop in (cov, chan):
+                assert_bits_equal(
+                    _commutation_residual(rep, superop),
+                    loop_commutation_residual(rep, superop),
+                    weights,
+                )
 
 
 def test_unitary_stack_and_effects_are_read_only_and_outside_equality():
