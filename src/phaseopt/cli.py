@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import groupsim as gs
 from ._serialize import (
@@ -405,14 +404,8 @@ def _scenario_matrix(raw, dim: int, key: str = "seed") -> np.ndarray:
     return arr
 
 
-_GROUPSIM_CHECKS = (
-    "covariance", "smear-covariance", "additivity", "faithful", "norm-bound",
-    "mix-inequality", "covariantize", "pre-norm-unitary", "pre-norm-depolarizing",
-)
-
-
 def _groupsim_inputs(scn: dict) -> tuple:
-    """Scenario, representation, observable, measure and second seed; ValueError if malformed.
+    """Scenario, observable, measure and second seed; ValueError if malformed.
 
     Every scenario field is refused here, N and the dimension before any
     effect is built.
@@ -423,11 +416,12 @@ def _groupsim_inputs(scn: dict) -> tuple:
     n = scn["N"]
     if not is_int(n) or not 1 <= n <= gs.MAX_SCENARIO_ORDER:
         raise ValueError(f"N must be an integer in 1..{gs.MAX_SCENARIO_ORDER}, got {n!r}")
-    scn = {"checks": [], "alpha": 0.5, "rng_seed": 7, **scn}
+    scn = {"checks": [], "alpha": 0.5, "rng_seed": 7, "subset": [0], **scn}
     for key, ok, what in (
         ("weights", is_int, "integers"),
         ("nu", is_finite_real, "finite numbers"),
-        ("checks", _GROUPSIM_CHECKS.__contains__, f"check names ({', '.join(_GROUPSIM_CHECKS)})"),
+        ("checks", gs.SCENARIO_CHECKS.__contains__,
+         f"check names ({', '.join(gs.SCENARIO_CHECKS)})"),
     ):
         value = scn.get(key, [])
         if not isinstance(value, list) or not all(map(ok, value)):
@@ -449,106 +443,24 @@ def _groupsim_inputs(scn: dict) -> tuple:
     nu = gs.FiniteMeasure(tuple(scn.get("nu", [1.0] + [0.0] * (n - 1))))
     if nu.order != n:
         raise ValueError(f"nu must have N = {n} weights, got {nu.order}")
-    if "subset" in scn:
-        gs.outcome_subset(scn["subset"], n)
-    return scn, rep, gs.make_covariant(rep, seed), nu, seed2
+    gs.outcome_subset(scn["subset"], n)
+    return scn, gs.make_covariant(rep, seed), nu, seed2
 
 
 def _cmd_groupsim(args) -> int:
-    scn, rep, obs, nu, seed2 = _load(args.scenario, _groupsim_inputs)
+    scn, obs, nu, seed2 = _load(args.scenario, _groupsim_inputs)
     results = {}
     failed = False
     rng = np.random.default_rng(scn["rng_seed"])
     for name in scn["checks"]:
         try:
-            results[name] = _run_groupsim_check(name, rep, obs, nu, seed2, scn, rng)
+            results[name] = gs.scenario_check(name, obs, nu, seed2, scn["alpha"],
+                                              scn["subset"], rng)
         except ValueError as exc:
             results[name] = {"verdict": "fail", "reason": str(exc)}
             failed = True
-    data = {"N": rep.order, "dim": rep.dim, "checks": results}
+    data = {"N": obs.rep.order, "dim": obs.rep.dim, "checks": results}
     return _report(args, data, failed)
-
-
-def _covariance_residual(rep, obs) -> float:
-    """Largest entry of U(g) E(x) U(g)^* - E(g + x) over all g and x."""
-    n, effects = rep.order, obs.effects
-    doubled = np.concatenate((effects, effects))  # doubled[g + x] = E(g + x mod N)
-    # shifted[g, x] = doubled[g + x], a view
-    shifted = np.moveaxis(sliding_window_view(doubled, n, axis=0), -1, 1)
-    worst = 0.0
-    for block in gs._g_blocks(n, effects.nbytes):
-        u = rep.unitaries[block][:, None]
-        lhs = u @ effects @ u.conj().transpose(0, 1, 3, 2)
-        worst = max(worst, float(np.abs(lhs - shifted[block]).max()))
-    return worst
-
-
-def _commutation_residual(rep, superop) -> float:
-    """Largest entry of S(g) Phi - Phi S(g) over all g, S(g) the U-action on states."""
-    worst = 0.0
-    for block in gs._g_blocks(rep.order, superop.nbytes):
-        s = rep.state_action(block)
-        worst = max(worst, float(np.abs(s @ superop - superop @ s).max()))
-    return worst
-
-
-def _require(passed, reason: str) -> None:
-    """Fail a groupsim check; unlike assert, this survives python -O."""
-    if not passed:
-        raise ValueError(reason)
-
-
-def _run_groupsim_check(name, rep, obs, nu, seed2, scn, rng) -> dict:
-    n = rep.order
-    if name in ("covariance", "smear-covariance"):
-        smeared = name == "smear-covariance"
-        worst = _covariance_residual(rep, gs.smear_finite(obs, nu) if smeared else obs)
-        what = "smeared covariance" if smeared else "covariance"
-        _require(worst < gs._EPS_COVARIANCE, f"{what} residual {worst}")
-        return {"verdict": "pass", "residual": worst}
-    if name == "additivity":
-        total = obs.effect_set(range(n))
-        dev = float(np.abs(total - np.eye(rep.dim)).max())
-        _require(dev < gs._EPS_EFFECT, f"additivity residual {dev}")
-        return {"verdict": "pass", "residual": dev}
-    if name == "faithful":
-        worst = float(np.abs(obs.effects).max(axis=(1, 2)).min())
-        _require(worst > gs._EPS_FAITHFUL, "some singleton effect vanishes")
-        return {"verdict": "pass", "min_effect_weight": worst}
-    if name == "norm-bound":
-        lhs, rhs = gs.norm_bound_check(obs, nu, scn.get("subset", [0]))
-        return {
-            "verdict": "pass",
-            "lhs": lhs,
-            "rhs": rhs,
-            "note": "discrete topology: approximate sharpness means unit "
-            "effect norm on every singleton",
-        }
-    if name == "mix-inequality":
-        other = gs.make_covariant(rep, seed2)
-        report = gs.convexity_check(obs, other, float(scn["alpha"]))
-        return {"verdict": "pass", **report}
-    if name == "covariantize":
-        chan = gs.random_channel(rep.dim, rng)
-        cov = gs.covariantize(rep, chan)
-        _require(gs.is_channel(cov), "covariantized map is not a channel")
-        worst = _commutation_residual(rep, cov)
-        _require(worst < gs._EPS_CHANNEL_COVARIANCE, f"covariance residual {worst}")
-        return {"verdict": "pass", "residual": worst}
-    if name == "pre-norm-unitary":
-        w = np.diag(np.exp(2j * np.pi * rng.random(rep.dim)))
-        chan = gs.unitary_channel(w)
-        pre = gs.FiniteCovariantObservable(rep, w.conj().T @ obs.seed @ w)
-        report = gs.pre_norm_check(obs, pre, chan)
-        _require(report["norm_equal_everywhere"], "unitary preprocessing changed norms")
-        return {"verdict": "pass", **report}
-    if name == "pre-norm-depolarizing":
-        chan = gs.depolarizing_channel(rep.dim)
-        seed = np.trace(obs.seed).real * np.eye(rep.dim) / rep.dim
-        pre = gs.FiniteCovariantObservable(rep, seed)
-        report = gs.pre_norm_check(obs, pre, chan)
-        return {"verdict": "pass", **report}
-    raise ValueError(f"unknown groupsim check {name!r}")
 
 
 # --- parser -------------------------------------------------------------------

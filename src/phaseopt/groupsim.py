@@ -16,6 +16,7 @@ from numbers import Integral
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .phase_matrix import _probability_ok, psd_certified
 
@@ -39,6 +40,8 @@ __all__ = [
     "mix",
     "convexity_check",
     "pre_norm_check",
+    "scenario_check",
+    "SCENARIO_CHECKS",
     "MAX_SWEEP_ORDER",
     "MAX_SCENARIO_ORDER",
     "MAX_SCENARIO_DIM",
@@ -95,6 +98,8 @@ class CyclicRep:
         if self.order < 1:
             raise ValueError("group order must be positive")
         weights = tuple(int(w) for w in self.weights)
+        if not weights:
+            raise ValueError("a representation needs at least one weight")
         # unitary() forms w * (g mod N) in int64
         big = [w for w in weights if abs(w) * max(self.order - 1, 1) >= 2**63]
         if big:
@@ -377,9 +382,7 @@ def norm_bound_check(
     subset = outcome_subset(subset, n)
     smeared = smear_finite(obs, nu)
     lhs = smeared.norm(subset)
-    rhs = max(
-        sum(nu.weights[(x - g) % n] for x in subset) for g in range(n)
-    )
+    rhs = max(sum(nu.weights[(x - g) % n] for x in subset) for g in range(n))
     if lhs > rhs + _EPS_EFFECT:
         raise ValueError(f"norm bound violated: {lhs} > {rhs}")
     return lhs, rhs
@@ -429,17 +432,27 @@ def adjoint_channel_matrix(superop: np.ndarray) -> np.ndarray:
 
 def choi_matrix(superop: np.ndarray) -> np.ndarray:
     """Choi matrix J with J[(i,k),(j,l)] = <k| Phi(|i><j|) |l>-style pairing."""
-    d = int(round(math.sqrt(superop.shape[0])))
+    d = _superop_dim(superop)
     k4 = superop.reshape(d, d, d, d)
     # column-stacked superop indices are K[(l, k), (j, i)] for
     # Phi(E_{ij})[k, l]; regroup into the (i k) x (j l) block matrix
     return k4.transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
+def _superop_dim(superop: np.ndarray, dim: int = 0) -> int:
+    """The d >= 1 of a ``(d^2, d^2)`` superoperator; ValueError otherwise, or if d != dim > 0."""
+    shape = np.shape(superop)
+    d = math.isqrt(shape[0]) if len(shape) == 2 else 0
+    if not d or shape != (d * d, d * d) or dim not in (0, d):
+        want = f"{dim * dim} x {dim * dim}" if dim else "d^2 x d^2 for some d >= 1"
+        raise ValueError(f"superoperator must be {want}, got shape {shape}")
+    return d
+
+
 def is_channel(superop: np.ndarray) -> bool:
     """Complete positivity (PSD Choi) plus trace preservation, at ``_EPS_CHANNEL``."""
-    d = int(round(math.sqrt(superop.shape[0])))
     choi = choi_matrix(superop)
+    d = math.isqrt(choi.shape[0])
     if np.abs(choi - choi.conj().T).max() > _EPS_CHANNEL:
         return False
     if not psd_certified(choi, _EPS_CHANNEL):
@@ -451,6 +464,7 @@ def is_channel(superop: np.ndarray) -> bool:
 
 def covariantize(rep: CyclicRep, superop: np.ndarray) -> np.ndarray:
     """Group-average a channel so it commutes with the U-action on states."""
+    _superop_dim(superop, rep.dim)
     if not is_channel(superop):
         raise ValueError("input is not a channel (CP + trace-preserving)")
     n = rep.order
@@ -542,16 +556,35 @@ def _pullback_residuals(
     pre_obs: FiniteCovariantObservable,
     superop: np.ndarray,
 ) -> np.ndarray:
-    """Largest entry of ``Phi^*(E({x})) - F({x})`` for each x, stacked over blocks of x."""
+    """Largest entry of ``Phi^*(E({x})) - F({x})`` for each x, in one pass over all x."""
     n, d = obs.rep.order, obs.rep.dim
-    adj = adjoint_channel_matrix(superop)
-    out = np.empty(n)
-    for block in _g_blocks(n, obs.effects[0].nbytes):
-        # column-vectorized effects, one matrix-vector product each, as apply_channel
-        vecs = obs.effects[block].transpose(0, 2, 1).reshape(-1, d * d, 1)
-        mapped = (adj @ vecs).reshape(-1, d, d).transpose(0, 2, 1)
-        out[block] = np.abs(mapped - pre_obs.effects[block]).max(axis=(1, 2))
-    return out
+    # column-vectorized effects, one matrix-vector product each, as apply_channel
+    vecs = obs.effects.transpose(0, 2, 1).reshape(n, d * d, 1)
+    mapped = (adjoint_channel_matrix(superop) @ vecs).reshape(n, d, d).transpose(0, 2, 1)
+    return np.abs(mapped - pre_obs.effects).max(axis=(1, 2))
+
+
+def _covariance_residual(rep: CyclicRep, obs: FiniteCovariantObservable) -> float:
+    """Largest entry of U(g) E(x) U(g)^* - E(g + x) over all g and x."""
+    n, effects = rep.order, obs.effects
+    doubled = np.concatenate((effects, effects))  # doubled[g + x] = E(g + x mod N)
+    # shifted[g, x] = doubled[g + x], a view
+    shifted = np.moveaxis(sliding_window_view(doubled, n, axis=0), -1, 1)
+    worst = 0.0
+    for block in _g_blocks(n, effects.nbytes):
+        u = rep.unitaries[block][:, None]
+        lhs = u @ effects @ u.conj().transpose(0, 1, 3, 2)
+        worst = max(worst, float(np.abs(lhs - shifted[block]).max()))
+    return worst
+
+
+def _commutation_residual(rep: CyclicRep, superop: np.ndarray) -> float:
+    """Largest entry of S(g) Phi - Phi S(g) over all g, S(g) the U-action on states."""
+    worst = 0.0
+    for block in _g_blocks(rep.order, superop.nbytes):
+        s = rep.state_action(block)
+        worst = max(worst, float(np.abs(s @ superop - superop @ s).max()))
+    return worst
 
 
 def pre_norm_check(
@@ -564,9 +597,13 @@ def pre_norm_check(
     Requires ``pre_obs({x}) = Phi^*(obs({x}))`` to hold first; then sweeps
     all nonempty subsets for ``|F(X)| <= |E(X)|`` (ValueError naming the
     first subset that breaks it), recording whether equality holds
-    everywhere (unitary channels give equality everywhere).
+    everywhere (unitary channels give equality everywhere).  ``pre_obs`` of another order or
+    dimension, and a superoperator that is not ``(dim^2, dim^2)``, raise ValueError.
     """
-    n = obs.rep.order
+    n, d, pre = obs.rep.order, obs.rep.dim, pre_obs.rep
+    if (pre.order, pre.dim) != (n, d):
+        raise ValueError(f"pre_obs has order {pre.order} and dimension {pre.dim}, obs {n} and {d}")
+    _superop_dim(superop, d)
     off = np.flatnonzero(_pullback_residuals(obs, pre_obs, superop) > _EPS_EFFECT)
     if len(off):
         raise ValueError(
@@ -579,3 +616,60 @@ def pre_norm_check(
         raise ValueError(f"norm grew under preprocessing on {subset}")
     equal_everywhere = not (np.abs(nf - ne) > _EPS_SWEEP).any()
     return {"subsets": 2 ** n - 1, "norm_equal_everywhere": equal_everywhere}
+
+
+# the checks a scenario may name
+SCENARIO_CHECKS = (
+    "covariance", "smear-covariance", "additivity", "faithful", "norm-bound",
+    "mix-inequality", "covariantize", "pre-norm-unitary", "pre-norm-depolarizing",
+)
+
+
+def _require(passed, reason: str) -> None:
+    """Fail a scenario check; unlike assert, this survives python -O."""
+    if not passed:
+        raise ValueError(reason)
+
+
+def scenario_check(name: str, obs, nu, seed2, alpha: float, subset, rng) -> dict:
+    """Report of the check ``name`` of ``SCENARIO_CHECKS`` on ``obs``; ValueError if it fails.
+
+    ``nu`` smears for ``smear-covariance`` and ``norm-bound`` (on ``subset``), ``mix-inequality``
+    mixes ``obs``, weight ``alpha``, with ``seed2``'s observable; channels draw on ``rng``."""
+    rep, n = obs.rep, obs.rep.order
+    if name in ("covariance", "smear-covariance"):
+        smeared = name == "smear-covariance"
+        worst = _covariance_residual(rep, smear_finite(obs, nu) if smeared else obs)
+        what = "smeared covariance" if smeared else "covariance"
+        _require(worst < _EPS_COVARIANCE, f"{what} residual {worst}")
+        return {"verdict": "pass", "residual": worst}
+    if name == "additivity":
+        dev = float(np.abs(obs.effect_set(range(n)) - np.eye(rep.dim)).max())
+        _require(dev < _EPS_EFFECT, f"additivity residual {dev}")
+        return {"verdict": "pass", "residual": dev}
+    if name == "faithful":
+        worst = float(np.abs(obs.effects).max(axis=(1, 2)).min())
+        _require(worst > _EPS_FAITHFUL, "some singleton effect vanishes")
+        return {"verdict": "pass", "min_effect_weight": worst}
+    if name == "norm-bound":
+        lhs, rhs = norm_bound_check(obs, nu, subset)
+        note = "discrete topology: approximate sharpness means unit effect norm on every singleton"
+        return {"verdict": "pass", "lhs": lhs, "rhs": rhs, "note": note}
+    if name == "mix-inequality":
+        return {"verdict": "pass", **convexity_check(obs, make_covariant(rep, seed2), float(alpha))}
+    if name == "covariantize":
+        cov = covariantize(rep, random_channel(rep.dim, rng))
+        _require(is_channel(cov), "covariantized map is not a channel")
+        worst = _commutation_residual(rep, cov)
+        _require(worst < _EPS_CHANNEL_COVARIANCE, f"covariance residual {worst}")
+        return {"verdict": "pass", "residual": worst}
+    if name == "pre-norm-unitary":
+        w = np.diag(np.exp(2j * np.pi * rng.random(rep.dim)))
+        pre = FiniteCovariantObservable(rep, w.conj().T @ obs.seed @ w)
+        report = pre_norm_check(obs, pre, unitary_channel(w))
+        _require(report["norm_equal_everywhere"], "unitary preprocessing changed norms")
+        return {"verdict": "pass", **report}
+    if name == "pre-norm-depolarizing":
+        pre = FiniteCovariantObservable(rep, np.trace(obs.seed).real * np.eye(rep.dim) / rep.dim)
+        return {"verdict": "pass", **pre_norm_check(obs, pre, depolarizing_channel(rep.dim))}
+    raise ValueError(f"unknown groupsim check {name!r}")

@@ -18,9 +18,9 @@ import numpy as np
 from .measure import TWO_PI, DiagonalState, _trig_on_grid
 from ._serialize import complex_from_pairs, is_finite_real
 from .phase_matrix import (
-    _ROUND_CDOT, EPS_EQUIV, EPS_RANK, EtaSystem, PhaseMatrix, _equivalence_tol, _from_powers,
-    _gamma, _lapack_operand, _probability_ok, _rounding_slack, _square_excess, _toeplitz,
-    _unimodular, gram_factor)
+    _ROUND_CDOT, EPS_EQUIV, EPS_RANK, EtaSystem, PhaseMatrix, _from_powers, _gamma,
+    _lapack_operand, _probability_ok, _rounding_slack, _square_excess, _toeplitz,
+    _tol_below_one, _unimodular, _weyl_spectrum, gram_factor)
 from .specfun import c_fock_0_2k
 
 __all__ = [
@@ -573,7 +573,7 @@ def post_equiv_class(
     apply and :class:`CriterionInapplicableError` is raised.  A ``tol`` of 1
     or more (or NaN) raises ``ValueError``, as :func:`u_equivalent` does.
     """
-    _equivalence_tol(tol)
+    _tol_below_one(tol, "equivalence")
     if m1.dim != m2.dim:
         raise ValueError("dimension mismatch")
     for which, m in (("first", m1), ("second", m2)):
@@ -740,19 +740,17 @@ def preclean_check(matrix: PhaseMatrix, tol: float = DEFAULT_TAIL_TOL) -> Option
     too, so the answer would not read the matrix.
 
     The second eigenvalue of the k x k tail T is bounded first, in O(k^2) and with no
-    factorization.  With u the tail's first column, Weyl's inequality gives
-    ``lambda_2(T) <= lambda_2(u u^*) + ||T - u u^*||_2 = ||T - u u^*||_2``, at most the
-    Frobenius norm of the explicit residual ``T - fl(u u^*)`` times ``1 + gamma_(k^2)``, plus
-    ``sqrt(2) gamma_2 ||u||^2`` for the rounding of ``fl(u u^*)`` (Higham, Lemma 3.5).  When
-    that bound, plus ``gamma_k ||T||_F`` for the backward error of ``eigvalsh`` (an estimate,
-    as in :func:`phase_matrix._weyl_spectrum`), is within ``4 k tol + _EPS_TAIL_EIGEN``, the
+    factorization.  With the tail's first column u as a rank-one factor,
+    :func:`phase_matrix._weyl_spectrum` certifies ``e >= ||T - u u^*||_2``, so by Weyl's
+    inequality ``lambda_2(T)`` lies within e of ``lambda_2(u u^*) = 0``.  When e, plus
+    ``gamma_k ||T||_F <= gamma_k (||u||^2 + e)`` for the backward error of ``eigvalsh`` (an
+    estimate, as in ``_weyl_spectrum``), is within ``4 k tol + _EPS_TAIL_EIGEN``, the
     ``eigvalsh`` test passes too, and n0 is returned without it; otherwise ``eigvalsh``
     decides.  For a PSD tail, ``T - u u^*`` is the Schur complement of ``T[0, 0] = 1``, PSD
     with trace ``sum_m (1 - |T[m, 0]|^2) <= 2 k tol``, so the bound fails only where rounding
     rivals ``4 k tol`` or the tail is PSD only to ``-EPS_PSD``.
     """
-    if not tol < 1.0:
-        raise ValueError(f"preclean tol must be below 1, got {tol}")
+    _tol_below_one(tol, "preclean")
     d = matrix.dim
     upper = np.where(np.tri(d, k=-1, dtype=bool), np.inf, np.abs(matrix.entries))
     block_min = np.minimum.accumulate(upper.min(axis=1)[::-1])[::-1]
@@ -763,11 +761,7 @@ def preclean_check(matrix: PhaseMatrix, tol: float = DEFAULT_TAIL_TOL) -> Option
     tail = _lapack_operand(matrix.entries[n0:, n0:])
     k = d - n0
     bound = 4.0 * k * tol + _EPS_TAIL_EIGEN
-    u = tail[:, 0]
-    size = np.vdot(u, u).real
-    resid = np.linalg.norm(tail - np.outer(u, u.conj())) * (1.0 + _gamma(k * k))
-    if resid + _gamma(_ROUND_CDOT) * size + _gamma(k) * (size + resid) <= bound:
-        return n0
-    if np.linalg.eigvalsh(tail)[-2] > bound:
+    w, _, e = _weyl_spectrum(tail, tail[:, :1])
+    if e + _gamma(k) * (w[0] + e) > bound and np.linalg.eigvalsh(tail)[-2] > bound:
         return None
     return n0

@@ -612,12 +612,10 @@ def translate(matrix: PhaseMatrix, x: complex) -> PhaseMatrix:
     return _from_powers(c, "translation point", (x,), matrix._slack, rho)
 
 
-def _equivalence_tol(tol: float) -> None:
-    """ValueError unless ``tol < 1``.  From 1 on (or at NaN) the equivalence decisions answer
-    without reading the matrices: every modulus agrees within tol, no entry exceeds it, so no
-    phase is fixed by an entry, and a residual of moduli at most 1 passes."""
+def _tol_below_one(tol: float, what: str) -> None:
+    """ValueError naming the ``what`` tol unless ``tol < 1`` (NaN fails); callers say why."""
     if not tol < 1.0:
-        raise ValueError(f"equivalence tol must be below 1, got {tol}")
+        raise ValueError(f"{what} tol must be below 1, got {tol}")
 
 
 def u_equivalent(
@@ -635,9 +633,10 @@ def u_equivalent(
     result is pinned bit for bit.  The search stops once every index has
     a phase.  Returns ``None`` when no such sequence exists at this
     truncation.  A ``tol`` of 1 or more (or NaN) raises ``ValueError``
-    (:func:`_equivalence_tol`).
+    (:func:`_tol_below_one`): every modulus would agree within tol and no entry exceed it,
+    so no phase would be fixed by an entry, and a residual of moduli at most 1 would pass.
     """
-    _equivalence_tol(tol)
+    _tol_below_one(tol, "equivalence")
     if m1.dim != m2.dim:
         raise ValueError("dimension mismatch")
     d = m1.dim

@@ -556,6 +556,40 @@ def test_groupsim_checks_decide_without_assert(tmp_path, capsys, monkeypatch):
     assert report["reason"].startswith("convexity violated on (0,): ")
 
 
+def test_the_cli_reads_no_private_groupsim_name_and_no_check_name():
+    # the scenario checks decide in groupsim, and their names are written there once
+    src = Path(phaseopt.__file__).parent
+    tree = ast.parse((src / "cli.py").read_text())
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "groupsim"
+    }
+    assert aliases == {"gs"}
+    private = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in aliases and node.attr.startswith("_"))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("groupsim")
+            and any(alias.name.startswith("_") for alias in node.names))
+    ]
+    assert private == []
+    for path in src.glob("*.py"):
+        if path.name != "groupsim.py":
+            spelled = [
+                node.lineno
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value in gs.SCENARIO_CHECKS
+            ]
+            assert spelled == [], (path.name, spelled)
+    # test_groupsim_scenario_runs_all_checks covers every name
+    assert sorted(gs.SCENARIO_CHECKS) == sorted(scenario_payload()["checks"])
+
+
 def import_time_nodes(node):
     """Nodes run when the module is imported: all but function bodies."""
     for child in ast.iter_child_nodes(node):
@@ -633,6 +667,16 @@ def test_groupsim_refuses_scenarios_above_the_order_limit(tmp_path, capsys, monk
         assert main(["groupsim", "--scenario", str(path)]) == 1, n
         message = f"N must be an integer in 1..{gs.MAX_SCENARIO_ORDER}, got {n!r}"
         assert capsys.readouterr() == ("", f"error: {path}: {message}\n"), n
+
+
+def test_groupsim_refuses_empty_weights(tmp_path, capsys):
+    # this was refused as "seed must be a 0 x 0 list of numbers or [re, im] pairs"
+    path = tmp_path / "scenario.json"
+    for seed in ([], [[]]):
+        path.write_text(json.dumps({"N": 3, "weights": [], "seed": seed, "checks": ["additivity"]}))
+        assert main(["groupsim", "--scenario", str(path)]) == 1
+        message = "a representation needs at least one weight"
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
 @pytest.mark.parametrize(

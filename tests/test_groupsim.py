@@ -2,18 +2,20 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from phaseopt import groupsim
-from phaseopt.cli import _commutation_residual, _covariance_residual
 from phaseopt.groupsim import (
     MAX_SWEEP_ORDER,
     CyclicRep,
     FiniteCovariantObservable,
     FiniteMeasure,
+    _commutation_residual,
+    _covariance_residual,
     adjoint_channel_matrix,
     apply_channel,
     choi_matrix,
@@ -73,6 +75,12 @@ def test_rep_refuses_weights_beyond_int64_arithmetic():
     for order, weights in ((6, (0, 1, 10**30)), (6, (0, top + 1)), (1, (-(2**63),))):
         with pytest.raises(ValueError, match=r"\|w\| \* max\(N - 1, 1\) < 2\*\*63"):
             CyclicRep(order, weights)
+
+
+def test_rep_refuses_empty_weights():
+    # make_covariant of such a representation raised IndexError at its least eigenvalue
+    with pytest.raises(ValueError, match="^a representation needs at least one weight$"):
+        CyclicRep(3, ())
 
 
 def test_finite_measure_refuses_nan_and_empty_weights():
@@ -322,6 +330,19 @@ def test_covariantize_rejects_non_channels():
         covariantize(rep, np.eye(9) * 0.5)
 
 
+def test_superoperators_that_are_not_square_in_the_dimension_are_refused():
+    # is_channel raised numpy's reshape message, covariantize numpy's matmul message
+    for shape in ((8, 8), (4, 9), (0, 0), (1, 4, 4), (16,)):
+        want = f"superoperator must be d^2 x d^2 for some d >= 1, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            is_channel(np.zeros(shape))
+    rep = CyclicRep(3, (0, 1, 2))
+    for superop in (kraus_to_superop([np.eye(2)]), np.eye(8)):
+        want = f"superoperator must be 9 x 9, got shape {superop.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            covariantize(rep, superop)
+
+
 # --- mixing -----------------------------------------------------------------------
 
 
@@ -401,6 +422,21 @@ def test_pre_norm_rejects_wrong_pullback():
     chan = depolarizing_channel(4)
     with pytest.raises(ValueError):
         pre_norm_check(obs, obs, chan)
+
+
+def test_pre_norm_refuses_observables_and_channels_that_do_not_fit():
+    # N = 3 against 6 read "not the pullback ... at x=0", 6 against 3 raised numpy's
+    # broadcast message; a channel of another dimension raised numpy's matmul message
+    three, six = (make_covariant(CyclicRep(n, (0, 1)), np.eye(2)) for n in (3, 6))
+    ident = kraus_to_superop([np.eye(2)])
+    for obs, pre, want in ((three, six, "order 6 and dimension 2, obs 3"),
+                           (six, three, "order 3 and dimension 2, obs 6"),
+                           (three, finite_canonical(3), "order 3 and dimension 3, obs 3")):
+        with pytest.raises(ValueError, match=f"^pre_obs has {want} and 2$"):
+            pre_norm_check(obs, pre, ident)
+    with pytest.raises(ValueError, match=r"^superoperator must be 4 x 4, got shape \(9, 9\)$"):
+        pre_norm_check(three, three, kraus_to_superop([np.eye(3)]))
+    assert pre_norm_check(three, three, ident)["norm_equal_everywhere"]
 
 
 # --- batched subset sweeps ----------------------------------------------------------

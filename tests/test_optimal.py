@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from circle_measures import convolve
 # preclean_check with the second tail eigenvalue always read by eigvalsh
 from test_bitwise_reference import _reference_preclean_check
+from test_gram_factor import mp_spectrum
 from phaseopt import optimal
 from phaseopt.measure import TWO_PI, Arc, DensityMatrix, density, effect_norm
 from phaseopt.optimal import (
@@ -35,6 +36,8 @@ from phaseopt.optimal import (
 from phaseopt.phase_matrix import (
     EPS_RANK,
     PhaseMatrix,
+    _lapack_operand,
+    _weyl_spectrum,
     canonical,
     chessboard,
     example4,
@@ -764,6 +767,27 @@ def test_preclean_tail_whose_rank_one_bound_fails_takes_one_eigvalsh(monkeypatch
     calls = counting_eigvalsh(monkeypatch)
     assert preclean_check(m, tol=0.0) == want == 0
     assert calls == [(dim, dim)]
+
+
+@pytest.mark.parametrize("dim", [8, 16, 24, 32])
+def test_preclean_tail_bound_holds_against_the_40_digit_spectrum(dim):
+    """The bound preclean_check decides by: every 40-digit eigenvalue of the stored tail but
+    the top lies within the e of _weyl_spectrum(tail, tail[:, :1]) of 0, and the top within e
+    of the rank-one factor's."""
+    mats = {
+        "canonical": canonical(dim),
+        "example4": example4(3, dim),
+        "example5": example5(dim),
+        "translate canonical": translate(canonical(dim), unit(0.7)),
+    }
+    for name, m in mats.items():
+        n0 = preclean_check(m)
+        assert n0 == {"example4": 3, "example5": 4}.get(name, 0), name
+        tail = _lapack_operand(m.entries[n0:, n0:])
+        w, _, e = _weyl_spectrum(tail, tail[:, :1])
+        lam = mp_spectrum(tail)
+        assert max(abs(x) for x in lam[:-1]) <= e, name
+        assert abs(lam[-1] - w[0]) <= e, name
 
 
 @pytest.mark.parametrize("tol", [1.0, 3.0, math.nan])

@@ -9,10 +9,13 @@ thread settings, both revisions, the tier-1 wall times and
 ``wc -l src/phaseopt/*.py``.  Run from the repository root:
 
     python3 tools/bench_record.py --base HEAD~1 --head HEAD --out BENCH_7.json \\
-        --workload library-verdicts:10 --workload cli-cold:3 --seed 901
+        --workload library-verdicts:10 --workload cli-cold:4 --seed 901
 
 The first pair runs the parent first, the next the change first, and so
-on.  Seeds run from ``--seed`` upward; the traced runs use the next seed.
+on.  ``PAIRS`` must be even, so that each side runs first equally often:
+``cli-cold`` ``setup_s`` favours the side that runs first.  An odd count, a
+count below 2 or a spec with no colon is an argparse error.  Seeds run from
+``--seed`` upward; the traced runs use the next seed.
 """
 
 from __future__ import annotations
@@ -92,13 +95,22 @@ def summarize(pairs, benchmark) -> dict:
     return out
 
 
+def workload_spec(text: str) -> tuple:
+    """``NAME:PAIRS`` as ``(NAME, PAIRS)``, PAIRS even and positive."""
+    name, colon, count = text.partition(":")
+    pairs = int(count) if count.isdecimal() else 0
+    if not (colon and name and pairs > 0 and pairs % 2 == 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not NAME:PAIRS with PAIRS even and >= 2")
+    return name, pairs
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="git revision of the parent")
     p.add_argument("--head", required=True, help="git revision of the change")
     p.add_argument("--out", required=True, help="file to write, e.g. BENCH_7.json")
-    p.add_argument("--workload", action="append", required=True,
-                   help="NAME:PAIRS, repeatable")
+    p.add_argument("--workload", action="append", required=True, type=workload_spec,
+                   help="NAME:PAIRS with PAIRS even, repeatable")
     p.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     p.add_argument("--seconds", type=float, default=33.0)
     args = p.parse_args(argv)
@@ -117,9 +129,8 @@ def main(argv=None) -> int:
             "tier1": {side: tier1(tree) for side, tree in trees.items()},
             "workloads": {},
         }
-        for item in args.workload:
-            name, count = item.split(":")
-            seeds = [args.seed + i for i in range(int(count))]
+        for name, count in args.workload:
+            seeds = [args.seed + i for i in range(count)]
             pairs = []
             for i, seed in enumerate(seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
