@@ -631,7 +631,8 @@ def _require(passed, reason: str) -> None:
         raise ValueError(reason)
 
 
-def scenario_check(name: str, obs, nu, seed2, alpha: float, subset, rng) -> dict:
+def scenario_check(name: str, obs: FiniteCovariantObservable, nu: FiniteMeasure,
+                   seed2: np.ndarray, alpha: float, subset: Sequence[int], rng) -> dict:
     """Report of the check ``name`` of ``SCENARIO_CHECKS`` on ``obs``; ValueError if it fails.
 
     ``nu`` smears for ``smear-covariance`` and ``norm-bound`` (on ``subset``), ``mix-inequality``
