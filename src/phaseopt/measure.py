@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from ._serialize import matrix_from_dict, matrix_to_dict
 from .phase_matrix import (
@@ -353,7 +352,10 @@ def et_quadrature_oracle(state: DiagonalState, arc: Arc, dim: int) -> np.ndarray
     :func:`effect_operator`, which it checks.  Its window (:func:`_oracle_window`),
     ``r_max = max(10, sqrt(dim - 1) + sqrt(support_max) + 6)`` and ``ceil(16 r_max)`` nodes,
     kept the deviation within 8.3e-13 on the half arc for dim <= 512 and levels < 64.
+    ``numpy.polynomial`` is imported here, on first use, not with the module.
     """
+    from numpy.polynomial.legendre import leggauss
+
     r_max, quad_points = _oracle_window(dim, state.support_max)
     x_r, w_r = leggauss(quad_points)
     radii = 0.5 * r_max * (x_r + 1.0)

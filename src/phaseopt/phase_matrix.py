@@ -533,19 +533,26 @@ def _weyl_spectrum(a: np.ndarray, lf: np.ndarray):
     ``L L^*`` has the nonzero eigenvalues w, with eigenvectors ``L V diag(w)^(-1/2)``, and
     the other D - k eigenvalues 0.  By Weyl's inequality each eigenvalue of the Hermitian
     ``a`` lies within e of the same-ranked one of ``L L^*``.  e is the Frobenius norm of the
-    residual, formed explicitly, times ``1 + gamma_{D^2}`` for the rounding of the
-    subtraction and the norm, plus ``gamma_{D + 2k} ||L||_F^2``: ``gamma_k ||L||_F^2`` bounds
-    the rounding of ``L L^*`` in the residual, ``gamma_D ||L||_F^2`` that of ``L^* L``, and
-    ``gamma_k ||L^* L||_2`` is an estimate, not a bound, of the backward error of its
+    residual, formed explicitly, times ``1 + gamma_(c D^2 + 4)``, plus
+    ``gamma_(n (D + k) + k) ||L||_F^2``, with ``(n, c) = (1, 1)`` for a real L and
+    ``(_ROUND_CDOT, 2)`` for a complex one.  The norm's square sums the c D^2 squared real
+    parts of the residual within ``gamma_(c D^2)``; its root, the subtraction before it and
+    the division to undo them fit in 4 roundings more.  A dot product of length j is within
+    ``gamma_(n j)`` of the sum of its products' moduli (:data:`_ROUND_CDOT`), so
+    ``gamma_(n k) ||L||_F^2`` bounds the rounding of ``L L^*`` in the residual and
+    ``gamma_(n D) ||L||_F^2`` that of ``L^* L``.  The last ``gamma_k ||L||_F^2 >=
+    gamma_k ||L^* L||_2`` is an estimate, not a bound, of the backward error of its
     ``eigh``: LAPACK guarantees ``p(k) u ||L^* L||_2`` with p a modest, unstated polynomial.
     The certificate is rigorous but for that one term, whose margin is wide in practice.
     """
     d, k = lf.shape
+    n, c = (_ROUND_CDOT, 2) if np.iscomplexobj(lf) else (1, 1)
     gram = lf.T.conj() @ lf
     w, v = np.linalg.eigh(gram)
     resid = lf @ lf.T.conj()
     resid -= a
-    e = np.linalg.norm(resid) * (1.0 + _gamma(d * d)) + _gamma(d + 2 * k) * np.trace(gram).real
+    e = (np.linalg.norm(resid) * (1.0 + _gamma(c * d * d + 4))
+         + _gamma(n * (d + k) + k) * np.trace(gram).real)
     return w, v, e
 
 

@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
+
+from ._serialize import is_int
 
 __all__ = [
     "c_state",
@@ -84,6 +87,30 @@ def _alt_sum(U: list, kb: int, beta: int, sigma: int) -> int:
     return R
 
 
+def _stepped_sums(U: list, kb: int, beta: int, sigma: int, count: int) -> list:
+    """``_alt_sum`` at ``count`` columns, beta and sigma gaining 2 per column.
+
+    Term l of :func:`_alt_sum` is ``u_l`` (times ``2**(ka - l)`` for odd sigma) times a
+    product of l factors and one of kb, each factor gaining a constant per column: so R
+    is an integer polynomial of degree ``<= ka + kb`` in the column, Gamma-pole zeros
+    included.  ``ka + kb + 1`` columns are summed; the highest of their forward
+    differences is constant, and running sums rebuild each lower one (Knuth, TAOCP
+    vol. 2, 4.6.4), exactly, in integers.
+    """
+    seeds = min(count, len(U) + kb)
+    sums = [_alt_sum(U, kb, beta + 2 * i, sigma + 2 * i) for i in range(seeds)]
+    if count == seeds:
+        return sums
+    heads = []  # heads[j]: the j-th forward difference at the first column
+    while sums:
+        heads.append(sums[0])
+        sums = [b - a for a, b in zip(sums, sums[1:])]
+    sums = [heads.pop()] * count
+    for head in reversed(heads):
+        sums = list(accumulate(sums[:-1], initial=head))
+    return sums
+
+
 def _prefactor_ints(s: int, m: int, n: int) -> tuple:
     """``(factor, den, odd)`` of entry (m, n): it is ``sqrt(R**2 * factor / den)``."""
     ka, ha = min(m, s), max(m, s)
@@ -108,6 +135,15 @@ def _entry_float(R: int, factor: int, den: int, odd: bool, sign: int) -> float:
     return (-sign if R < 0 else sign) * val
 
 
+def _index(name: str, value, low: int = 0) -> int:
+    """An index argument as an ``int``: an integer (numpy's too, not a bool), at least low."""
+    if not is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be {'positive' if low else 'nonnegative'}, got {value}")
+    return int(value)
+
+
 def _c_entry(s: int, m: int, n: int) -> float:
     """Entry (m, n) built from scratch: the exact-arithmetic core of :func:`c_state`."""
     sign = -1 if (max(0, s - m) + max(0, s - n)) % 2 else 1
@@ -124,9 +160,7 @@ def c_state(s: int, m: int, n: int) -> float:
     all cancellation happens in exact integer arithmetic.  Entries killed by a Gamma pole in the
     closed form are returned as exact ``0.0``.
     """
-    if s < 0 or m < 0 or n < 0:
-        raise ValueError("indices must be nonnegative")
-    return _c_entry(s, m, n)
+    return _c_entry(_index("s", s), _index("m", m), _index("n", n))
 
 
 _MATRIX_CACHE: dict = {}
@@ -138,8 +172,8 @@ def _kernel_row(s: int, m: int, dim: int) -> list:
     For ``n >= s`` the denominator of :func:`_prefactor_ints` is
     ``s!**2 * m! * n!`` (times ``2**(4 q0 + 2 jmax) * q0!**2`` for odd
     sigma), and one step ``n -> n + 2`` multiplies it and the Gamma factor
-    by small integers.  Each entry therefore receives the very integers
-    that ``_c_entry`` builds from scratch.
+    by small integers, and R is read off :func:`_stepped_sums`.  Each entry
+    therefore receives the very integers that ``_c_entry`` builds from scratch.
     """
     row = [_c_entry(s, m, n) for n in range(m, min(s, dim))]
     start = max(m, s)
@@ -150,10 +184,9 @@ def _kernel_row(s: int, m: int, dim: int) -> list:
         factor, den, odd = _prefactor_ints(s, m, n0)
         sigma = abs(m - s) + n0 - s
         half = (sigma + 1) // 2  # q0 when sigma is odd, g0 - 1 when even
-        for n in range(n0, dim, 2):
-            R = _alt_sum(U, s, n - s, sigma)
+        columns = range(n0, dim, 2)
+        for n, R in zip(columns, _stepped_sums(U, s, n0 - s, sigma, len(columns))):
             tail[n - start] = _entry_float(R, factor, den, odd, sign)
-            sigma += 2
             half += 1
             step = (n + 1) * (n + 2)
             if odd:
@@ -170,14 +203,11 @@ def c_state_matrix(s: int, dim: int) -> np.ndarray:
 
     Each row builds its Laguerre coefficients once and carries the
     factorial products of its entries from column ``n`` to ``n + 2``
-    instead of rebuilding them.  Every entry is still ``_ratio_sqrt`` of
-    the same exact integers that :func:`c_state` uses, so the two agree
-    bit for bit.
+    instead of rebuilding them; their exact sums R by forward differences
+    (:func:`_stepped_sums`).  Every entry is still ``_ratio_sqrt`` of the same
+    exact integers that :func:`c_state` uses, so the two agree bit for bit.
     """
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    if s < 0:
-        raise ValueError("s must be nonnegative")
+    dim, s = _index("dim", dim, 1), _index("s", s)
     cached = _MATRIX_CACHE.get(s)
     if cached is None or cached.shape[0] < dim:
         full = np.empty((dim, dim))
@@ -199,10 +229,7 @@ def c_fock_0_2k(s: int, k: int) -> float:
     alternating sum ``R = (k-1)! / (k-s-1)!``, the numerator ``R**2 * k!**2``
     and the denominator ``s!**2 * (2k)!``, so the two agree bit for bit.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if s < 0:
-        raise ValueError("s must be nonnegative")
+    k, s = _index("k", k, 1), _index("s", s)
     if k <= s:
         return 0.0
     den = _fact(s) ** 2 * _fact(2 * k)

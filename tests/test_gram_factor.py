@@ -13,6 +13,7 @@ from phaseopt.phase_matrix import (
     PhaseMatrix,
     _lapack_operand,
     _pivoted_cholesky,
+    _gamma,
     _rank_certified,
     _weyl_spectrum,
     canonical,
@@ -169,3 +170,18 @@ def test_rank_matches_an_mpmath_shadow(dim):
         ranked = [0.0] * (dim - len(w)) + [float(x) for x in w]
         with mpmath.workdps(40):
             assert all(abs(x - mpmath.mpf(y)) <= e for x, y in zip(lam, ranked)), name
+
+
+@pytest.mark.parametrize("dim", [8, 64, 256])
+def test_a_complex_factor_is_charged_complex_dot_products(dim):
+    """A complex L charges gamma_(3D + 4k) ||L||_F^2: by _ROUND_CDOT, gamma_3k for L L^*,
+    gamma_3D for L^* L, and the estimate gamma_k for the small eigh."""
+    x = complex(math.cos(0.7), math.sin(0.7))
+    for name, m in {"chessboard": chessboard(0.3 + 0.4j, dim),
+                    "translated canonical": translate(canonical(dim), x)}.items():
+        a = _lapack_operand(m.entries)
+        lf = _pivoted_cholesky(a)
+        assert np.iscomplexobj(lf), name
+        d, k = lf.shape
+        _, _, e = _weyl_spectrum(a, lf)
+        assert e >= _gamma(3 * d + 4 * k) * np.trace(lf.T.conj() @ lf).real, name

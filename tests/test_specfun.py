@@ -235,6 +235,65 @@ def test_c_state_matrix_agrees_with_scalar():
         assert np.array_equal(bits(mat), bits(scalar)), s
 
 
+def _reference_kernel_row(s, m, dim):
+    """Entries (m, n), m <= n < dim, by the row kernel as it was before R was stepped:
+    the same prefactor steps, with ``_alt_sum`` called afresh at every column."""
+    row = [specfun._c_entry(s, m, n) for n in range(m, min(s, dim))]
+    start = max(m, s)
+    tail = [0.0] * max(0, dim - start)
+    sign = -1 if max(0, s - m) % 2 else 1
+    U = specfun._laguerre_ints(max(m, s), min(m, s))
+    for n0 in range(start, min(start + 2, dim)):
+        factor, den, odd = specfun._prefactor_ints(s, m, n0)
+        sigma = abs(m - s) + n0 - s
+        half = (sigma + 1) // 2
+        for n in range(n0, dim, 2):
+            R = specfun._alt_sum(U, s, n - s, sigma)
+            tail[n - start] = specfun._entry_float(R, factor, den, odd, sign)
+            sigma += 2
+            half += 1
+            step = (n + 1) * (n + 2)
+            if odd:
+                factor *= ((2 * half - 1) * 2 * half) ** 2
+                den *= 16 * half * half * step
+            else:
+                factor *= half * half
+                den *= step
+    return row + tail
+
+
+@pytest.mark.parametrize("s, dim", [(0, 256), (1, 256), (2, 256), (3, 256), (5, 256),
+                                    (9, 96), (16, 96), (40, 64)])
+def test_c_state_matrix_equals_the_per_entry_row_kernel(s, dim):
+    # at (40, 64) every class is shorter than its ka + s + 1 seeds
+    mat = c_state_matrix(s, dim)
+    for m in range(dim):
+        assert np.array_equal(bits(mat[m, m:]), bits(_reference_kernel_row(s, m, dim))), (s, m)
+
+
+def test_stepped_sums_equal_alt_sum_on_every_row():
+    """R stepped by forward differences equals _alt_sum at every column of every tail
+    class (s and m fixed, n >= max(m, s) stepping by 2) for s <= 16 at D = 128."""
+    dim = 128
+    short = stepped_on = sign_changes = inner_zeros = 0
+    for s in range(17):
+        for m in range(dim):
+            U = specfun._laguerre_ints(max(m, s), min(m, s))
+            start = max(m, s)
+            for n0 in range(start, min(start + 2, dim)):
+                sigma = abs(m - s) + n0 - s
+                columns = range(n0, dim, 2)
+                exact = [specfun._alt_sum(U, s, n - s, sigma + n - n0) for n in columns]
+                assert specfun._stepped_sums(U, s, n0 - s, sigma, len(columns)) == exact, (s, m, n0)
+                short += len(columns) < len(U) + s
+                stepped_on += len(columns) > len(U) + s
+                sign_changes += any(a * b < 0 for a, b in zip(exact, exact[1:]))
+                inner_zeros += 0 in exact[1:-1]
+    # both parities run for every row but the last; Gamma-pole zeros and sign changes
+    # fall inside stepped classes
+    assert short and stepped_on and sign_changes and inner_zeros
+
+
 def power_expansion_sum(U, V, sigma):
     """R by multiplying out both Laguerre factors and integrating power by power."""
     jmax = len(U) + len(V) - 2
@@ -304,6 +363,30 @@ def test_kernels_reject_negative_s():
     for kernel, args in ((c_fock_0_2k, (-1, 1)), (c_state_matrix, (-1, 3))):
         with pytest.raises(ValueError, match="s must be nonnegative"):
             kernel(*args)
+
+
+def test_kernels_take_numpy_integers_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(specfun, "_MATRIX_CACHE", {})
+    mat = c_state_matrix(np.int64(2), np.int32(6))
+    assert np.array_equal(bits(mat), bits([[c_state(2, m, n) for n in range(6)] for m in range(6)]))
+    # numpy scalar arithmetic inside the exact sum would overflow: the index is an int
+    assert bits(c_state(np.int64(1), np.uint8(0), np.int16(21))) == bits(c_state(1, 0, 21))
+    assert bits(c_fock_0_2k(np.int64(3), np.uint16(7))) == bits(c_fock_0_2k(3, 7))
+
+
+@pytest.mark.parametrize("kernel, args, message", [
+    (c_state_matrix, (True, 4), "s must be an integer, got True"),
+    (c_state_matrix, (2.5, 8), "s must be an integer, got 2.5"),
+    (c_state_matrix, (2, 8.0), "dim must be an integer, got 8.0"),
+    (c_state_matrix, (0, 0), "dim must be positive, got 0"),
+    (c_state, (1, np.float64(3.0), 2), "m must be an integer"),
+    (c_state, (1, 0, -1), "n must be nonnegative, got -1"),
+    (c_fock_0_2k, (0, False), "k must be an integer, got False"),
+    (c_fock_0_2k, (0, 0), "k must be positive, got 0"),
+])
+def test_kernels_refuse_indices_that_are_not_integers(kernel, args, message):
+    with pytest.raises(ValueError, match=message):
+        kernel(*args)
 
 
 def test_c_fock_cross_checks_integral_route():
